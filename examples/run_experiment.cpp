@@ -16,6 +16,7 @@
 #include "eval/harness.h"
 #include "fl/adversary.h"
 #include "fl/aggregation.h"
+#include "fl/comm_stats.h"
 #include "nn/kernels/kernels.h"
 
 namespace {
@@ -381,22 +382,27 @@ int main(int argc, char** argv) {
                       static_cast<double>(result.run.comm.TotalBytes()) / 1024.0,
                       0)});
   }
+  // Counter rows come straight from the counter table, one block per
+  // layer (fl/comm_stats.h), printed under their schema names.
   const fl::FaultStats& faults = result.run.faults;
-  const bool net_active = faults.net_retries > 0 || faults.net_timeouts > 0 ||
-                          faults.net_crc_drops > 0 ||
-                          faults.net_dedup_drops > 0 ||
-                          faults.net_late_drops > 0 || faults.net_lost > 0;
-  if (net_active) {
-    table.AddRow({"Net retries", std::to_string(faults.net_retries)});
-    table.AddRow({"Net timeouts", std::to_string(faults.net_timeouts)});
-    table.AddRow({"Net CRC drops", std::to_string(faults.net_crc_drops)});
-    table.AddRow({"Net dedup drops", std::to_string(faults.net_dedup_drops)});
-    table.AddRow({"Net late drops", std::to_string(faults.net_late_drops)});
-    table.AddRow({"Net lost clients", std::to_string(faults.net_lost)});
+  const auto add_counters = [&](fl::CounterTail tail) {
+    for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+      if (counter.tail == tail) {
+        table.AddRow({counter.name, std::to_string(faults.*counter.total)});
+      }
+    }
+  };
+  const auto any_counter = [&](fl::CounterTail tail) {
+    for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+      if (counter.tail == tail && faults.*counter.total > 0) return true;
+    }
+    return false;
+  };
+  if (any_counter(fl::CounterTail::kTransport)) {
+    add_counters(fl::CounterTail::kTransport);
   }
-  if (faults.storage_write_failures > 0) {
-    table.AddRow({"Storage write failures",
-                  std::to_string(faults.storage_write_failures)});
+  if (any_counter(fl::CounterTail::kStorage)) {
+    add_counters(fl::CounterTail::kStorage);
   }
   // Attack/defense telemetry: shown whenever either side is in play so
   // a defended-vs-undefended pair of runs prints comparable tables.
@@ -408,21 +414,10 @@ int main(int argc, char** argv) {
       table.AddRow({"Attackers",
                     std::to_string(static_cast<int>(adversary_count_ll))});
     }
-    table.AddRow({"Poisoned uploads",
-                  std::to_string(result.run.faults.poisoned_uploads)});
-    table.AddRow({"Suspected uploads",
-                  std::to_string(result.run.faults.suspected_uploads)});
-    table.AddRow({"Quarantined skips",
-                  std::to_string(result.run.faults.quarantined_skips)});
+    add_counters(fl::CounterTail::kAdversary);
   }
   if (health) {
-    table.AddRow({"Diverged rounds",
-                  std::to_string(result.run.faults.diverged_rounds)});
-    table.AddRow({"Rollbacks", std::to_string(result.run.faults.rollbacks)});
-    table.AddRow({"Quarantine events",
-                  std::to_string(result.run.faults.quarantine_events)});
-    table.AddRow({"Parole events",
-                  std::to_string(result.run.faults.parole_events)});
+    add_counters(fl::CounterTail::kHealing);
     table.AddRow({"Gave up", result.run.gave_up ? "yes" : "no"});
   }
   std::printf("%s", table.ToString().c_str());

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/finite.h"
+#include "fl/comm_stats.h"
 #include "fl/federated_trainer.h"
 #include "nn/kernels/kernels.h"
 #include "nn/losses.h"
@@ -192,91 +193,34 @@ void AddViolation(ScenarioReport* report, const std::string& label,
   report->violations.push_back(InvariantViolation{label, detail});
 }
 
-// Field-by-field RoundRecord equality, wall-clock time excluded. Returns
-// an empty string on match, otherwise the first differing field.
+// Field-by-field RoundRecord equality over the journal columns,
+// wall-clock time excluded. Returns an empty string on match, otherwise
+// the first differing field.
 std::string DescribeRecordMismatch(const fl::RoundRecord& a,
                                    const fl::RoundRecord& b) {
-  struct IntField {
-    const char* name;
-    int64_t lhs;
-    int64_t rhs;
-  };
-  const IntField ints[] = {
-      {"round", a.round, b.round},
-      {"sampled", a.sampled, b.sampled},
-      {"reporting", a.reporting, b.reporting},
-      {"drops", a.drops, b.drops},
-      {"retries", a.retries, b.retries},
-      {"stragglers", a.stragglers, b.stragglers},
-      {"rejected_uploads", a.rejected_uploads, b.rejected_uploads},
-      {"quorum_met", a.quorum_met ? 1 : 0, b.quorum_met ? 1 : 0},
-      {"verdict", a.verdict, b.verdict},
-      {"outlier_uploads", a.outlier_uploads, b.outlier_uploads},
-      {"quarantined", a.quarantined, b.quarantined},
-      {"skipped_quarantined", a.skipped_quarantined, b.skipped_quarantined},
-      {"escalated", a.escalated ? 1 : 0, b.escalated ? 1 : 0},
-      {"poisoned_uploads", a.poisoned_uploads, b.poisoned_uploads},
-      {"suspected_uploads", a.suspected_uploads, b.suspected_uploads},
-      {"net_retries", a.net_retries, b.net_retries},
-      {"net_timeouts", a.net_timeouts, b.net_timeouts},
-      {"net_crc_drops", a.net_crc_drops, b.net_crc_drops},
-      {"net_dedup_drops", a.net_dedup_drops, b.net_dedup_drops},
-      {"net_late_drops", a.net_late_drops, b.net_late_drops},
-      {"net_lost", a.net_lost, b.net_lost},
-      {"storage_write_failures", a.storage_write_failures,
-       b.storage_write_failures},
-  };
-  for (const IntField& f : ints) {
-    if (f.lhs != f.rhs) {
-      return std::string(f.name) + " " + std::to_string(f.lhs) + " vs " +
-             std::to_string(f.rhs);
+  for (const fl::RoundColumn& column : fl::kRoundColumns) {
+    if (column.double_field == &fl::RoundRecord::wall_seconds) continue;
+    if (column.double_field != nullptr) {
+      if (a.*column.double_field != b.*column.double_field) return column.name;
+      continue;
+    }
+    const int lhs = fl::IntColumnValue(column, a);
+    const int rhs = fl::IntColumnValue(column, b);
+    if (lhs != rhs) {
+      return std::string(column.name) + " " + std::to_string(lhs) + " vs " +
+             std::to_string(rhs);
     }
   }
-  if (a.mean_train_loss != b.mean_train_loss) return "mean_train_loss";
-  if (a.global_valid_accuracy != b.global_valid_accuracy) {
-    return "global_valid_accuracy";
-  }
-  if (a.valid_loss != b.valid_loss) return "valid_loss";
   return std::string();
 }
 
 std::string DescribeFaultsMismatch(const fl::FaultStats& a,
                                    const fl::FaultStats& b) {
-  struct IntField {
-    const char* name;
-    int64_t lhs;
-    int64_t rhs;
-  };
-  const IntField ints[] = {
-      {"drops", a.drops, b.drops},
-      {"retries", a.retries, b.retries},
-      {"stragglers", a.stragglers, b.stragglers},
-      {"rejected_uploads", a.rejected_uploads, b.rejected_uploads},
-      {"clipped_uploads", a.clipped_uploads, b.clipped_uploads},
-      {"quorum_misses", a.quorum_misses, b.quorum_misses},
-      {"sampled_clients", a.sampled_clients, b.sampled_clients},
-      {"reporting_clients", a.reporting_clients, b.reporting_clients},
-      {"outlier_uploads", a.outlier_uploads, b.outlier_uploads},
-      {"diverged_rounds", a.diverged_rounds, b.diverged_rounds},
-      {"rollbacks", a.rollbacks, b.rollbacks},
-      {"quarantine_events", a.quarantine_events, b.quarantine_events},
-      {"parole_events", a.parole_events, b.parole_events},
-      {"quarantined_skips", a.quarantined_skips, b.quarantined_skips},
-      {"poisoned_uploads", a.poisoned_uploads, b.poisoned_uploads},
-      {"suspected_uploads", a.suspected_uploads, b.suspected_uploads},
-      {"net_retries", a.net_retries, b.net_retries},
-      {"net_timeouts", a.net_timeouts, b.net_timeouts},
-      {"net_crc_drops", a.net_crc_drops, b.net_crc_drops},
-      {"net_dedup_drops", a.net_dedup_drops, b.net_dedup_drops},
-      {"net_late_drops", a.net_late_drops, b.net_late_drops},
-      {"net_lost", a.net_lost, b.net_lost},
-      {"storage_write_failures", a.storage_write_failures,
-       b.storage_write_failures},
-  };
-  for (const IntField& f : ints) {
-    if (f.lhs != f.rhs) {
-      return std::string(f.name) + " " + std::to_string(f.lhs) + " vs " +
-             std::to_string(f.rhs);
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    if (a.*counter.total != b.*counter.total) {
+      return std::string(counter.name) + " " +
+             std::to_string(a.*counter.total) + " vs " +
+             std::to_string(b.*counter.total);
     }
   }
   if (a.simulated_backoff_s != b.simulated_backoff_s) {
@@ -298,8 +242,7 @@ void CheckFiniteModel(const RunOutcome& run, ScenarioReport* report) {
 // outcome bucket, every round.
 void CheckRoundConservation(const RunOutcome& run, ScenarioReport* report) {
   for (const fl::RoundRecord& r : run.result.history) {
-    const int accounted = r.skipped_quarantined + r.drops + r.net_lost +
-                          r.stragglers + r.rejected_uploads + r.reporting;
+    const int accounted = fl::AccountedClients(r);
     if (r.sampled != accounted) {
       AddViolation(report, "round-conservation",
                    "round " + std::to_string(r.round) + ": sampled " +
@@ -333,57 +276,25 @@ void CheckQuorumAccounting(const ChaosScenario& s, const RunOutcome& run,
   }
 }
 
-// Invariant: lifetime fault counters equal the per-round history sums.
-// Skipped when storage faults could have eaten journal lines across a
-// crash (the resumed history is then legitimately incomplete).
+// Invariant: every per-round counter the history carries sums to its
+// run total (lifetime and running counters legitimately differ: a
+// rollback keeps the former, the latter is a total already). Skipped
+// when storage faults could have eaten journal lines across a crash
+// (the resumed history is then legitimately incomplete).
 void CheckCounterConservation(const RunOutcome& run, ScenarioReport* report) {
   fl::FaultStats sum;
-  for (const fl::RoundRecord& r : run.result.history) {
-    sum.drops += r.drops;
-    sum.retries += r.retries;
-    sum.stragglers += r.stragglers;
-    sum.rejected_uploads += r.rejected_uploads;
-    sum.sampled_clients += r.sampled;
-    sum.reporting_clients += r.reporting;
-    sum.net_retries += r.net_retries;
-    sum.net_timeouts += r.net_timeouts;
-    sum.net_crc_drops += r.net_crc_drops;
-    sum.net_dedup_drops += r.net_dedup_drops;
-    sum.net_late_drops += r.net_late_drops;
-    sum.net_lost += r.net_lost;
-    sum.poisoned_uploads += r.poisoned_uploads;
-    sum.suspected_uploads += r.suspected_uploads;
-    if (!r.quorum_met) ++sum.quorum_misses;
-  }
+  for (const fl::RoundRecord& r : run.result.history) fl::FoldRound(r, &sum);
   const fl::FaultStats& total = run.result.faults;
-  struct IntField {
-    const char* name;
-    int64_t history;
-    int64_t lifetime;
-  };
-  const IntField fields[] = {
-      {"drops", sum.drops, total.drops},
-      {"retries", sum.retries, total.retries},
-      {"stragglers", sum.stragglers, total.stragglers},
-      {"rejected_uploads", sum.rejected_uploads, total.rejected_uploads},
-      {"sampled_clients", sum.sampled_clients, total.sampled_clients},
-      {"reporting_clients", sum.reporting_clients, total.reporting_clients},
-      {"quorum_misses", sum.quorum_misses, total.quorum_misses},
-      {"net_retries", sum.net_retries, total.net_retries},
-      {"net_timeouts", sum.net_timeouts, total.net_timeouts},
-      {"net_crc_drops", sum.net_crc_drops, total.net_crc_drops},
-      {"net_dedup_drops", sum.net_dedup_drops, total.net_dedup_drops},
-      {"net_late_drops", sum.net_late_drops, total.net_late_drops},
-      {"net_lost", sum.net_lost, total.net_lost},
-      {"poisoned_uploads", sum.poisoned_uploads, total.poisoned_uploads},
-      {"suspected_uploads", sum.suspected_uploads, total.suspected_uploads},
-  };
-  for (const IntField& f : fields) {
-    if (f.history != f.lifetime) {
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    if (counter.kind != fl::CounterKind::kPerRound ||
+        counter.per_round == nullptr) {
+      continue;
+    }
+    if (sum.*counter.total != total.*counter.total) {
       AddViolation(report, "counter-conservation",
-                   std::string(f.name) + ": history sum " +
-                       std::to_string(f.history) + " != lifetime " +
-                       std::to_string(f.lifetime));
+                   std::string(counter.name) + ": history sum " +
+                       std::to_string(sum.*counter.total) + " != lifetime " +
+                       std::to_string(total.*counter.total));
     }
   }
 }

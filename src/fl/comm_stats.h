@@ -1,15 +1,20 @@
-// Communication accounting for the federated simulator (paper Sec. V-B3
-// ties communication cost to parameter count; we record exact serialized
-// bytes per round and direction).
+// Telemetry of the federated simulator: communication accounting (paper
+// Sec. V-B3 ties communication cost to parameter count; we record exact
+// serialized bytes per round and direction), the fault counters and
+// their one schema table, and the per-round record the journal persists.
 #ifndef LIGHTTR_FL_COMM_STATS_H_
 #define LIGHTTR_FL_COMM_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 namespace lighttr::fl {
 
 /// Accumulated fault-tolerance telemetry of one federated run: what the
-/// fault layer injected and what the server did about it.
+/// fault layer injected and what the server did about it. Every int64
+/// field has a row in kFaultCounters below, which drives everything
+/// that handles the counters as a set.
 struct FaultStats {
   int64_t drops = 0;             // contacts that never reported (after retries)
   int64_t retries = 0;           // re-contact attempts for dropped clients
@@ -100,6 +105,214 @@ struct RoundRecord {
   // shows up as a jump in the next surviving line).
   int storage_write_failures = 0;
 };
+
+/// The snapshot tail (fl/run_state) whose version first carried a
+/// counter. Each layer's counters were appended together, so the tail
+/// also names the layer the counter belongs to.
+enum class CounterTail : int {
+  kCore = 1,       // client faults, screening, quorum, cohort sizes
+  kHealing = 2,    // fl/health + fl/reputation
+  kTransport = 3,  // fl/transport; attributed to the NETWORK
+  kStorage = 4,    // common/env persistence; attributed to STORAGE
+  kAdversary = 5,  // fl/adversary + the Byzantine aggregators
+};
+
+/// How a counter evolves over a run, and what a rollback does to it.
+enum class CounterKind {
+  /// Sum of per-round events; a rollback restores it with the round.
+  kPerRound,
+  /// Lifetime total; a rollback keeps it, because the events happened
+  /// even when the round that produced them is undone.
+  kLifetime,
+  /// Running total the trainer bumps directly (storage failures); its
+  /// RoundRecord field holds the total at commit, not a delta.
+  kRunning,
+};
+
+/// Reads a counter's per-round value from a committed RoundRecord.
+using RoundReader = int (*)(const RoundRecord&);
+
+template <int RoundRecord::*Field>
+constexpr int ReadRound(const RoundRecord& record) {
+  return record.*Field;
+}
+
+/// A round that kept the previous model counts one quorum miss.
+constexpr int ReadQuorumMiss(const RoundRecord& record) {
+  return record.quorum_met ? 0 : 1;
+}
+
+/// One row of the counter table.
+struct FaultCounter {
+  const char* name;
+  int64_t FaultStats::*total;
+  RoundReader per_round;  // null: the round record does not carry it
+  CounterTail tail;
+  CounterKind kind;
+};
+
+/// Every int64 counter of FaultStats, in snapshot order (within a tail,
+/// rows are written in table order). The round fold, the rollback, the
+/// snapshot codec, the chaos invariants and the CLI tables all loop
+/// over this table: adding a counter is one FaultStats field plus one
+/// row here (and, for a per-round counter, its RoundRecord field and
+/// journal column below).
+inline constexpr FaultCounter kFaultCounters[] = {
+    {"drops", &FaultStats::drops, &ReadRound<&RoundRecord::drops>,
+     CounterTail::kCore, CounterKind::kPerRound},
+    {"retries", &FaultStats::retries, &ReadRound<&RoundRecord::retries>,
+     CounterTail::kCore, CounterKind::kPerRound},
+    {"stragglers", &FaultStats::stragglers,
+     &ReadRound<&RoundRecord::stragglers>, CounterTail::kCore,
+     CounterKind::kPerRound},
+    {"rejected_uploads", &FaultStats::rejected_uploads,
+     &ReadRound<&RoundRecord::rejected_uploads>, CounterTail::kCore,
+     CounterKind::kPerRound},
+    {"clipped_uploads", &FaultStats::clipped_uploads, nullptr,
+     CounterTail::kCore, CounterKind::kPerRound},
+    {"quorum_misses", &FaultStats::quorum_misses, &ReadQuorumMiss,
+     CounterTail::kCore, CounterKind::kPerRound},
+    {"sampled_clients", &FaultStats::sampled_clients,
+     &ReadRound<&RoundRecord::sampled>, CounterTail::kCore,
+     CounterKind::kPerRound},
+    {"reporting_clients", &FaultStats::reporting_clients,
+     &ReadRound<&RoundRecord::reporting>, CounterTail::kCore,
+     CounterKind::kPerRound},
+    {"outlier_uploads", &FaultStats::outlier_uploads,
+     &ReadRound<&RoundRecord::outlier_uploads>, CounterTail::kHealing,
+     CounterKind::kLifetime},
+    {"diverged_rounds", &FaultStats::diverged_rounds, nullptr,
+     CounterTail::kHealing, CounterKind::kLifetime},
+    {"rollbacks", &FaultStats::rollbacks, nullptr, CounterTail::kHealing,
+     CounterKind::kLifetime},
+    {"quarantine_events", &FaultStats::quarantine_events, nullptr,
+     CounterTail::kHealing, CounterKind::kLifetime},
+    {"parole_events", &FaultStats::parole_events, nullptr,
+     CounterTail::kHealing, CounterKind::kLifetime},
+    {"quarantined_skips", &FaultStats::quarantined_skips,
+     &ReadRound<&RoundRecord::skipped_quarantined>, CounterTail::kHealing,
+     CounterKind::kLifetime},
+    {"net_retries", &FaultStats::net_retries,
+     &ReadRound<&RoundRecord::net_retries>, CounterTail::kTransport,
+     CounterKind::kPerRound},
+    {"net_timeouts", &FaultStats::net_timeouts,
+     &ReadRound<&RoundRecord::net_timeouts>, CounterTail::kTransport,
+     CounterKind::kPerRound},
+    {"net_crc_drops", &FaultStats::net_crc_drops,
+     &ReadRound<&RoundRecord::net_crc_drops>, CounterTail::kTransport,
+     CounterKind::kPerRound},
+    {"net_dedup_drops", &FaultStats::net_dedup_drops,
+     &ReadRound<&RoundRecord::net_dedup_drops>, CounterTail::kTransport,
+     CounterKind::kPerRound},
+    {"net_late_drops", &FaultStats::net_late_drops,
+     &ReadRound<&RoundRecord::net_late_drops>, CounterTail::kTransport,
+     CounterKind::kPerRound},
+    {"net_lost", &FaultStats::net_lost, &ReadRound<&RoundRecord::net_lost>,
+     CounterTail::kTransport, CounterKind::kPerRound},
+    {"storage_write_failures", &FaultStats::storage_write_failures,
+     &ReadRound<&RoundRecord::storage_write_failures>, CounterTail::kStorage,
+     CounterKind::kRunning},
+    {"poisoned_uploads", &FaultStats::poisoned_uploads,
+     &ReadRound<&RoundRecord::poisoned_uploads>, CounterTail::kAdversary,
+     CounterKind::kPerRound},
+    {"suspected_uploads", &FaultStats::suspected_uploads,
+     &ReadRound<&RoundRecord::suspected_uploads>, CounterTail::kAdversary,
+     CounterKind::kPerRound},
+};
+
+// A FaultStats field without a row would silently escape the snapshot,
+// the rollback and every invariant: refuse to compile instead. The one
+// non-counter field is simulated_backoff_s (a per-round double written
+// at the end of the core tail).
+static_assert(sizeof(FaultStats) ==
+                  sizeof(double) + std::size(kFaultCounters) * sizeof(int64_t),
+              "every FaultStats counter needs a row in kFaultCounters");
+
+/// Adds a committed round to the run totals: every counter the record
+/// carries, except running totals (already current).
+inline void FoldRound(const RoundRecord& record, FaultStats* faults) {
+  for (const FaultCounter& counter : kFaultCounters) {
+    if (counter.per_round != nullptr && counter.kind != CounterKind::kRunning) {
+      faults->*counter.total += counter.per_round(record);
+    }
+  }
+}
+
+/// The sampled clients a round's outcome buckets account for; each
+/// sampled client lands in exactly one, so this equals `sampled`.
+inline int AccountedClients(const RoundRecord& record) {
+  return record.skipped_quarantined + record.drops + record.net_lost +
+         record.stragglers + record.rejected_uploads + record.reporting;
+}
+
+/// Rollback: restores every per-round counter (and the backoff seconds)
+/// from `anchor`; lifetime and running counters keep their values.
+inline void RollBackCounters(const FaultStats& anchor, FaultStats* faults) {
+  for (const FaultCounter& counter : kFaultCounters) {
+    if (counter.kind == CounterKind::kPerRound) {
+      faults->*counter.total = anchor.*counter.total;
+    }
+  }
+  faults->simulated_backoff_s = anchor.simulated_backoff_s;
+}
+
+/// One RoundRecord field as a journal column; exactly one member
+/// pointer is set. Booleans travel as 0/1, doubles as %.17g.
+struct RoundColumn {
+  const char* name;
+  int RoundRecord::*int_field = nullptr;
+  double RoundRecord::*double_field = nullptr;
+  bool RoundRecord::*bool_field = nullptr;
+};
+
+/// The journal line's columns in order (fl/run_state). The first
+/// kJournalV1Columns are mandatory; later ones were appended version by
+/// version, and a reader fills only those a line carries. New columns
+/// go at the end.
+inline constexpr RoundColumn kRoundColumns[] = {
+    {.name = "round", .int_field = &RoundRecord::round},
+    {.name = "mean_train_loss", .double_field = &RoundRecord::mean_train_loss},
+    {.name = "global_valid_accuracy",
+     .double_field = &RoundRecord::global_valid_accuracy},
+    {.name = "wall_seconds", .double_field = &RoundRecord::wall_seconds},
+    {.name = "sampled", .int_field = &RoundRecord::sampled},
+    {.name = "reporting", .int_field = &RoundRecord::reporting},
+    {.name = "drops", .int_field = &RoundRecord::drops},
+    {.name = "retries", .int_field = &RoundRecord::retries},
+    {.name = "stragglers", .int_field = &RoundRecord::stragglers},
+    {.name = "rejected_uploads", .int_field = &RoundRecord::rejected_uploads},
+    {.name = "quorum_met", .bool_field = &RoundRecord::quorum_met},
+    // v2: self-healing.
+    {.name = "valid_loss", .double_field = &RoundRecord::valid_loss},
+    {.name = "verdict", .int_field = &RoundRecord::verdict},
+    {.name = "outlier_uploads", .int_field = &RoundRecord::outlier_uploads},
+    {.name = "quarantined", .int_field = &RoundRecord::quarantined},
+    {.name = "skipped_quarantined",
+     .int_field = &RoundRecord::skipped_quarantined},
+    {.name = "escalated", .bool_field = &RoundRecord::escalated},
+    // v3: wire transport.
+    {.name = "net_retries", .int_field = &RoundRecord::net_retries},
+    {.name = "net_timeouts", .int_field = &RoundRecord::net_timeouts},
+    {.name = "net_crc_drops", .int_field = &RoundRecord::net_crc_drops},
+    {.name = "net_dedup_drops", .int_field = &RoundRecord::net_dedup_drops},
+    {.name = "net_late_drops", .int_field = &RoundRecord::net_late_drops},
+    {.name = "net_lost", .int_field = &RoundRecord::net_lost},
+    // v4: storage.
+    {.name = "storage_write_failures",
+     .int_field = &RoundRecord::storage_write_failures},
+    // v5: adversary.
+    {.name = "poisoned_uploads", .int_field = &RoundRecord::poisoned_uploads},
+    {.name = "suspected_uploads",
+     .int_field = &RoundRecord::suspected_uploads},
+};
+inline constexpr size_t kJournalV1Columns = 11;
+
+/// The value of an int or bool column (a bool reads as 0/1).
+inline int IntColumnValue(const RoundColumn& column,
+                          const RoundRecord& record) {
+  return column.int_field != nullptr ? record.*column.int_field
+                                     : (record.*column.bool_field ? 1 : 0);
+}
 
 /// Accumulated transport statistics of one federated run. With the wire
 /// transport enabled (the default) every figure is *measured* from

@@ -195,7 +195,7 @@ ServerRunState FederatedTrainer::CaptureState(int round,
   state.rng_state = rng_.SerializeState();
   state.fault_rng_state = fault_rng_.SerializeState();
   state.comm = result.comm;
-  state.faults = result.faults;
+  state.faults = faults_;
   // Float64 on purpose: the FL wire format is float32, but aggregation
   // runs in Scalar (double); a rounded restore would diverge bitwise.
   state.global_params_blob = nn::SerializeCheckpoint(
@@ -266,17 +266,8 @@ Status FederatedTrainer::RestoreFromState(const ServerRunState& state,
   return Status::Ok();
 }
 
-void FederatedTrainer::AssignHealingCounters(FaultStats* faults) const {
-  faults->outlier_uploads = outlier_uploads_;
-  faults->diverged_rounds = diverged_rounds_;
-  faults->rollbacks = rollbacks_;
-  faults->quarantine_events = quarantine_events_;
-  faults->parole_events = parole_events_;
-  faults->quarantined_skips = quarantined_skips_;
-  // The storage counter rides along: like the healing counters it is a
-  // lifetime trainer member, so a rollback-restored FaultStats must be
-  // refreshed with the current value rather than the anchor's.
-  faults->storage_write_failures = storage_write_failures_;
+void FederatedTrainer::CountStorageFault(const Status& status) {
+  if (!status.ok()) ++faults_.storage_write_failures;
 }
 
 FileSystem* FederatedTrainer::DurableFs() const {
@@ -309,11 +300,10 @@ Status FederatedTrainer::SaveSnapshot(int round,
     // is untouched.
     (void)fs->CreateDirs(durability.dir);  // best-effort, like a dying writer
     const std::string encoded = EncodeRunState(state);
-    const Status half =
-        fs->AppendToFile(path + ".tmp", encoded.substr(0, encoded.size() / 2));
     // A storage fault can hit even the dying write; count it so the
     // attribution ledger stays exact, then crash as scheduled.
-    if (!half.ok()) ++storage_write_failures_;
+    CountStorageFault(
+        fs->AppendToFile(path + ".tmp", encoded.substr(0, encoded.size() / 2)));
     throw InjectedCrash{CrashPoint::kMidSave, round};
   }
   LIGHTTR_RETURN_NOT_OK(SaveRunState(fs, path, state));
@@ -363,20 +353,13 @@ Status FederatedTrainer::ResumeFrom(const std::string& dir) {
                    path.c_str(), restored.ToString().c_str());
       continue;
     }
-    // Lifetime healing counters continue from where the snapshot left
-    // off (they live in FaultStats so v1 snapshots restore them as 0).
-    outlier_uploads_ = state.faults.outlier_uploads;
-    diverged_rounds_ = state.faults.diverged_rounds;
-    rollbacks_ = state.faults.rollbacks;
-    quarantine_events_ = state.faults.quarantine_events;
-    parole_events_ = state.faults.parole_events;
-    quarantined_skips_ = state.faults.quarantined_skips;
-    storage_write_failures_ = state.faults.storage_write_failures;
+    // Every counter continues from where the snapshot left off (tails
+    // an older snapshot lacks restore as 0).
+    faults_ = state.faults;
     start_round_ = state.round;
     resumed_round_ = state.round;
     resume_seed_ = FederatedRunResult{};
     resume_seed_.comm = state.comm;
-    resume_seed_.faults = state.faults;
     // Replay the journal up to the snapshot round; later records belong
     // to rounds that will be re-executed, so drop them from disk too
     // (otherwise the journal would hold duplicates after the rerun).
@@ -391,12 +374,10 @@ Status FederatedTrainer::ResumeFrom(const std::string& dir) {
         // A failed truncation would leave stale future-round records
         // that the rerun will duplicate. Count the storage fault and
         // retry once; if the filesystem still refuses, resume fails.
-        ++storage_write_failures_;
+        CountStorageFault(rewritten);
         const Status retried = RewriteJournal(fs, dir, resume_seed_.history);
-        if (!retried.ok()) {
-          ++storage_write_failures_;
-          return retried;
-        }
+        CountStorageFault(retried);
+        if (!retried.ok()) return retried;
       }
     }
     std::fprintf(stderr, "[lighttr] resumed from %s (round %d complete)\n",
@@ -480,7 +461,6 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       record.skipped_quarantined =
           static_cast<int>(selected.end() - keep_end);
       selected.erase(keep_end, selected.end());
-      quarantined_skips_ += record.skipped_quarantined;
     }
 
     // Lines 3-10: download, local training, upload — now with faults,
@@ -691,13 +671,12 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         record.net_crc_drops += slot.link.crc_drops;
         record.net_dedup_drops += slot.link.dedup_drops;
         record.net_late_drops += slot.link.late_drops;
-        result.faults.simulated_backoff_s +=
-            slot.backoff_s + slot.link.backoff_s;
+        faults_.simulated_backoff_s += slot.backoff_s + slot.link.backoff_s;
       } else {
         // Legacy estimate: one model-size message per contact attempt.
         result.comm.bytes_downlink += wire_bytes * slot.attempts;
         result.comm.messages += slot.attempts;
-        result.faults.simulated_backoff_s += slot.backoff_s;
+        faults_.simulated_backoff_s += slot.backoff_s;
       }
       record.retries += slot.retries;
       if (!slot.contacted) {
@@ -740,7 +719,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         ++record.rejected_uploads;
         continue;
       }
-      if (slot.clipped) ++result.faults.clipped_uploads;
+      if (slot.clipped) ++faults_.clipped_uploads;
       // The adaptive adversary eavesdrops on accepted honest norms (the
       // simulator grants it a global view) to size its stealth attacks.
       // Coordinating thread, canonical order: deterministic.
@@ -801,27 +780,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         record.quorum_met = false;  // degrade: keep the previous model
       }
     }
-    if (!record.quorum_met) ++result.faults.quorum_misses;
     ++result.comm.rounds;
-
-    result.faults.drops += record.drops;
-    result.faults.retries += record.retries;
-    result.faults.stragglers += record.stragglers;
-    result.faults.rejected_uploads += record.rejected_uploads;
-    result.faults.sampled_clients += record.sampled;
-    result.faults.reporting_clients += record.reporting;
-    result.faults.net_retries += record.net_retries;
-    result.faults.net_timeouts += record.net_timeouts;
-    result.faults.net_crc_drops += record.net_crc_drops;
-    result.faults.net_dedup_drops += record.net_dedup_drops;
-    result.faults.net_late_drops += record.net_late_drops;
-    result.faults.net_lost += record.net_lost;
-    result.faults.poisoned_uploads += record.poisoned_uploads;
-    result.faults.suspected_uploads += record.suspected_uploads;
-    // Assignment, not +=: the member is already a lifetime total (and
-    // failures during THIS round's commit below only surface next
-    // round, or in the final result assignment after the loop).
-    result.faults.storage_write_failures = storage_write_failures_;
 
     // Telemetry: validation accuracy + loss of the (possibly kept)
     // global model over the run-level unbiased validation pool.
@@ -831,66 +790,67 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         EvaluateSegmentAccuracy(global_model_.get(), valid_pool);
     record.valid_loss = EvaluateMeanLoss(global_model_.get(), valid_pool);
 
-    // Self-healing: judge the round, book the evidence, and on a
-    // diverged verdict roll back to the last healthy state — all on
-    // the coordinating thread, before anything is journaled.
+    // Self-healing: judge the round and book the evidence — on the
+    // coordinating thread, before anything is journaled.
+    RoundHealthReport report;
     if (healing) {
-      RoundHealthReport report = monitor_.Judge(
-          &observations, global_model_->params().Flatten(), record.valid_loss);
+      report = monitor_.Judge(&observations, global_model_->params().Flatten(),
+                              record.valid_loss);
       record.verdict = static_cast<int>(report.verdict);
       record.outlier_uploads = report.outlier_uploads;
-      outlier_uploads_ += report.outlier_uploads;
       for (const UpdateObservation& obs : observations) {
         if (book_->Observe(obs.client_index, obs.corrupt, obs.norm_rejected,
                            obs.outlier, obs.suspected)) {
-          ++quarantine_events_;
+          ++faults_.quarantine_events;
         }
       }
-      if (report.verdict == HealthVerdict::kDiverged) {
-        ++diverged_rounds_;
-        escalated_ = true;
-        const int anchor = last_healthy_->round;
-        std::fprintf(stderr,
-                     "[lighttr] round %d diverged (%s%s%s); %s round %d\n",
-                     round, report.global_nonfinite ? "non-finite model " : "",
-                     report.loss_nonfinite ? "non-finite loss " : "",
-                     report.loss_spike ? "validation-loss spike" : "",
-                     rollbacks_ < options_.healing.max_rollbacks
-                         ? "rolling back to"
-                         : "rollback budget exhausted; stopping at",
-                     anchor);
-        if (rollbacks_ < options_.healing.max_rollbacks) {
-          ++rollbacks_;
-          LIGHTTR_CHECK_OK(
-              RestoreFromState(*last_healthy_, /*restore_reputation=*/false));
-          result.comm = last_healthy_->comm;
-          result.faults = last_healthy_->faults;
-          AssignHealingCounters(&result.faults);
-          // The diverged round is neither journaled nor recorded: it
-          // re-executes (with escalation and the updated ledger) as if
-          // it never happened.
-          round = anchor;
-          continue;
-        }
-        // Budget exhausted: park the run at its last healthy state so
-        // the caller still gets a finite model.
+    }
+    // The round's counters are final: fold them into the run totals. A
+    // rollback below takes the per-round ones back out; the lifetime
+    // ones stay, since their events happened all the same.
+    FoldRound(record, &faults_);
+    if (report.verdict == HealthVerdict::kDiverged) {
+      ++faults_.diverged_rounds;
+      escalated_ = true;
+      const int anchor = last_healthy_->round;
+      const bool can_roll_back =
+          faults_.rollbacks < options_.healing.max_rollbacks;
+      std::fprintf(stderr,
+                   "[lighttr] round %d diverged (%s%s%s); %s round %d\n",
+                   round, report.global_nonfinite ? "non-finite model " : "",
+                   report.loss_nonfinite ? "non-finite loss " : "",
+                   report.loss_spike ? "validation-loss spike" : "",
+                   can_roll_back ? "rolling back to"
+                                 : "rollback budget exhausted; stopping at",
+                   anchor);
+      if (can_roll_back) ++faults_.rollbacks;
+      // Either way the run returns to its last healthy state: to replay
+      // from it, or — budget exhausted — to park there so the caller
+      // still gets a finite model.
+      LIGHTTR_CHECK_OK(
+          RestoreFromState(*last_healthy_, /*restore_reputation=*/false));
+      result.comm = last_healthy_->comm;
+      RollBackCounters(last_healthy_->faults, &faults_);
+      if (!can_roll_back) {
         result.gave_up = true;
-        LIGHTTR_CHECK_OK(
-            RestoreFromState(*last_healthy_, /*restore_reputation=*/false));
-        result.comm = last_healthy_->comm;
-        result.faults = last_healthy_->faults;
-        AssignHealingCounters(&result.faults);
         break;
       }
+      // The diverged round is neither journaled nor recorded: it
+      // re-executes (with escalation and the updated ledger) as if it
+      // never happened.
+      round = anchor;
+      continue;
+    }
+    if (healing) {
       // Committed round: advance quarantine clocks (the quarantining
       // round's tick counts toward parole).
-      parole_events_ += book_->Tick();
+      faults_.parole_events += book_->Tick();
       record.quarantined = book_->QuarantinedCount();
-      AssignHealingCounters(&result.faults);
       last_healthy_ = CaptureState(round, result);
     }
     record.wall_seconds = watch.ElapsedSeconds();
-    record.storage_write_failures = static_cast<int>(storage_write_failures_);
+    record.storage_write_failures =
+        static_cast<int>(faults_.storage_write_failures);
     result.history.push_back(record);
 
     if (durability.enabled()) {
@@ -903,25 +863,21 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // run continues with degraded durability coverage and the failure
       // attributed to the storage counter. (A real deployment pages an
       // operator; aborting training over a full disk would be worse.)
-      const Status journaled = AppendJournalRecord(DurableFs(),
-                                                   durability.dir, record);
-      if (!journaled.ok()) ++storage_write_failures_;
+      CountStorageFault(
+          AppendJournalRecord(DurableFs(), durability.dir, record));
       const bool snapshot_due = round % durability.snapshot_every == 0 ||
                                 round == options_.rounds;
       if (snapshot_due) {
         MaybeInjectCrash(durability, CrashPoint::kBeforeSave, round);
-        // Refresh first so the snapshot carries any journal failure
-        // just counted (resume must restore an exact ledger).
-        result.faults.storage_write_failures = storage_write_failures_;
-        const Status saved = SaveSnapshot(round, result);
-        if (!saved.ok()) ++storage_write_failures_;
+        CountStorageFault(SaveSnapshot(round, result));
         MaybeInjectCrash(durability, CrashPoint::kAfterSave, round);
       }
     }
   }
-  // Late storage failures (this loop's final journal/snapshot writes)
-  // still reach the caller's telemetry.
-  result.faults.storage_write_failures = storage_write_failures_;
+  result.faults = faults_;
+  // A later Run() starts a fresh history: the per-round counters reset,
+  // the lifetime ones carry over like the health layer's state does.
+  RollBackCounters(FaultStats{}, &faults_);
   start_round_ = 0;
   resume_seed_ = FederatedRunResult{};
   return result;

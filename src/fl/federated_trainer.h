@@ -186,13 +186,6 @@ class FederatedTrainer {
   /// happened). Run() continues at resumed_round() + 1.
   int resumed_round() const { return resumed_round_; }
 
-  /// Lifetime count of persistence calls (journal append, snapshot
-  /// write/sync) that failed at the filesystem. Training continues past
-  /// such failures — the model is unaffected — but the count is
-  /// surfaced so chaos invariants can reconcile it against what the
-  /// fault-injecting filesystem reports.
-  int64_t storage_write_failures() const { return storage_write_failures_; }
-
   /// The global model (valid after construction; trained after Run).
   RecoveryModel* global_model() { return global_model_.get(); }
 
@@ -226,9 +219,12 @@ class FederatedTrainer {
   [[nodiscard]] Status RestoreFromState(const ServerRunState& state,
                                         bool restore_reputation);
 
-  /// Copies the lifetime self-healing counters into `faults` (they are
-  /// trainer members so a rollback cannot erase them).
-  void AssignHealingCounters(FaultStats* faults) const;
+  /// Counts a failed persistence call (journal append, snapshot write,
+  /// journal rewrite) against the storage counter. Training continues
+  /// past such failures — the model is unaffected — but the count is
+  /// surfaced so chaos invariants can reconcile it against what the
+  /// fault-injecting filesystem reports.
+  void CountStorageFault(const Status& status);
 
   /// Captures full server state after `round` and atomically writes it
   /// to the snapshot directory, honoring kMidSave crash injection.
@@ -287,17 +283,10 @@ class FederatedTrainer {
   /// forced on and kMean aggregation is hardened to kMedian for the
   /// rest of the run.
   bool escalated_ = false;
-  // Lifetime healing counters (see AssignHealingCounters).
-  int64_t outlier_uploads_ = 0;
-  int64_t diverged_rounds_ = 0;
-  int64_t rollbacks_ = 0;
-  int64_t quarantine_events_ = 0;
-  int64_t parole_events_ = 0;
-  int64_t quarantined_skips_ = 0;
-  /// Lifetime storage-fault counter (see storage_write_failures()).
-  /// Deliberately NOT reset by rollback — like the healing counters, a
-  /// persistence failure happened even if the round it served is undone.
-  int64_t storage_write_failures_ = 0;
+  /// The run's fault counters, live: snapshots capture them, resume
+  /// restores them, and a rollback resets only the per-round ones
+  /// (CounterKind in fl/comm_stats.h).
+  FaultStats faults_;
 };
 
 }  // namespace lighttr::fl

@@ -43,7 +43,8 @@ double TrainLocal(RecoveryModel* model, nn::Optimizer* optimizer,
       epoch_loss += loss.ScalarValue();
       loss.Backward();
       if (options.clip_norm > 0.0) {
-        nn::ClipGradNorm(&model->params(), options.clip_norm);
+        nn::ClipGradientsByGlobalNorm(
+            &model->params(), static_cast<nn::Scalar>(options.clip_norm));
       }
       optimizer->Step(&model->params());
     }

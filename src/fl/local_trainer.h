@@ -19,7 +19,7 @@ struct LocalTrainOptions {
   /// Teacher (meta-learner) for knowledge distillation; may be null.
   RecoveryModel* teacher = nullptr;
   /// Global-norm gradient clipping bound applied before each optimizer
-  /// step (nn::ClipGradNorm); <= 0 disables clipping (the default, and
+  /// step (nn::ClipGradientsByGlobalNorm); <= 0 disables clipping (the default, and
   /// the paper's setting). Bounds client update norms when inputs or
   /// labels are corrupted.
   double clip_norm = 0.0;

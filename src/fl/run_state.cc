@@ -35,29 +35,25 @@ std::string JournalPath(const std::string& dir) {
   return dir + "/" + kJournalName;
 }
 
-// One journal line: twenty-six space-separated fields followed by the
-// CRC-32 (8 hex digits) of everything before the final space. Doubles
-// use %.17g so the text round-trips bit-exactly. Fields 12..17 are the
-// self-healing columns added in v2, fields 18..23 the wire-transport
-// columns added in v3, field 24 the storage-fault column added in v4,
-// fields 25..26 the adversary columns added in v5; the parser accepts
-// any line with at least the eleven v1 fields and ignores unknown
-// trailing fields, so journals written by newer builds (with further
-// columns) still load.
+// One journal line: the kRoundColumns fields (fl/comm_stats.h),
+// space-separated, followed by the CRC-32 (8 hex digits) of everything
+// before the final space. Doubles use %.17g so the text round-trips
+// bit-exactly. The parser accepts any line with at least the
+// kJournalV1Columns original fields and ignores unknown trailing fields,
+// so journals written by newer builds (with further columns) still load.
 std::string FormatJournalBody(const RoundRecord& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "%d %.17g %.17g %.17g %d %d %d %d %d %d %d %.17g %d %d %d %d %d"
-                " %d %d %d %d %d %d %d %d %d",
-                r.round, r.mean_train_loss, r.global_valid_accuracy,
-                r.wall_seconds, r.sampled, r.reporting, r.drops, r.retries,
-                r.stragglers, r.rejected_uploads, r.quorum_met ? 1 : 0,
-                r.valid_loss, r.verdict, r.outlier_uploads, r.quarantined,
-                r.skipped_quarantined, r.escalated ? 1 : 0, r.net_retries,
-                r.net_timeouts, r.net_crc_drops, r.net_dedup_drops,
-                r.net_late_drops, r.net_lost, r.storage_write_failures,
-                r.poisoned_uploads, r.suspected_uploads);
-  return std::string(buf);
+  std::string body;
+  char buf[32];
+  for (const RoundColumn& column : kRoundColumns) {
+    if (column.double_field != nullptr) {
+      std::snprintf(buf, sizeof(buf), "%.17g", r.*column.double_field);
+    } else {
+      std::snprintf(buf, sizeof(buf), "%d", IntColumnValue(column, r));
+    }
+    if (!body.empty()) body += ' ';
+    body += buf;
+  }
+  return body;
 }
 
 bool ParseJournalLine(const std::string& line, RoundRecord* out) {
@@ -75,80 +71,27 @@ bool ParseJournalLine(const std::string& line, RoundRecord* out) {
   std::vector<std::string> field;
   std::string token;
   while (tokens >> token) field.push_back(token);
-  // Eleven v1 fields are mandatory; anything beyond the fields this
-  // build knows is tolerated (forward compatibility with newer builds
-  // that append further columns — the CRC already vouches for them).
-  if (field.size() < 11) return false;
-
-  auto to_int = [](const std::string& s, int* v) {
-    char* e = nullptr;
-    const long long parsed = std::strtoll(s.c_str(), &e, 10);
-    if (e != s.c_str() + s.size()) return false;
-    *v = static_cast<int>(parsed);
-    return true;
-  };
-  auto to_double = [](const std::string& s, double* v) {
-    char* e = nullptr;
-    *v = std::strtod(s.c_str(), &e);
-    return e == s.c_str() + s.size();
-  };
-  int quorum = 0;
-  if (!to_int(field[0], &out->round) ||
-      !to_double(field[1], &out->mean_train_loss) ||
-      !to_double(field[2], &out->global_valid_accuracy) ||
-      !to_double(field[3], &out->wall_seconds) ||
-      !to_int(field[4], &out->sampled) || !to_int(field[5], &out->reporting) ||
-      !to_int(field[6], &out->drops) || !to_int(field[7], &out->retries) ||
-      !to_int(field[8], &out->stragglers) ||
-      !to_int(field[9], &out->rejected_uploads) ||
-      !to_int(field[10], &quorum)) {
-    return false;
-  }
-  out->quorum_met = quorum != 0;
-  // Self-healing columns (v2); a v1 line leaves them at defaults.
-  int escalated = 0;
-  if (field.size() >= 12 && !to_double(field[11], &out->valid_loss)) {
-    return false;
-  }
-  if (field.size() >= 13 && !to_int(field[12], &out->verdict)) return false;
-  if (field.size() >= 14 && !to_int(field[13], &out->outlier_uploads)) {
-    return false;
-  }
-  if (field.size() >= 15 && !to_int(field[14], &out->quarantined)) {
-    return false;
-  }
-  if (field.size() >= 16 && !to_int(field[15], &out->skipped_quarantined)) {
-    return false;
-  }
-  if (field.size() >= 17 && !to_int(field[16], &escalated)) return false;
-  out->escalated = escalated != 0;
-  // Wire-transport columns (v3); an older line leaves them at defaults.
-  if (field.size() >= 18 && !to_int(field[17], &out->net_retries)) {
-    return false;
-  }
-  if (field.size() >= 19 && !to_int(field[18], &out->net_timeouts)) {
-    return false;
-  }
-  if (field.size() >= 20 && !to_int(field[19], &out->net_crc_drops)) {
-    return false;
-  }
-  if (field.size() >= 21 && !to_int(field[20], &out->net_dedup_drops)) {
-    return false;
-  }
-  if (field.size() >= 22 && !to_int(field[21], &out->net_late_drops)) {
-    return false;
-  }
-  if (field.size() >= 23 && !to_int(field[22], &out->net_lost)) return false;
-  // Storage-fault column (v4); an older line leaves it at default.
-  if (field.size() >= 24 && !to_int(field[23], &out->storage_write_failures)) {
-    return false;
-  }
-  // Adversary columns (v5); an older line leaves them at defaults.
-  if (field.size() >= 25 && !to_int(field[24], &out->poisoned_uploads)) {
-    return false;
-  }
-  if (field.size() >= 26 && !to_int(field[25], &out->suspected_uploads)) {
-    return false;
+  // The v1 fields are mandatory; anything beyond the columns this build
+  // knows is tolerated (forward compatibility with newer builds that
+  // append further columns — the CRC already vouches for them). Columns
+  // an older line lacks stay at their defaults.
+  if (field.size() < kJournalV1Columns) return false;
+  const size_t present = std::min(field.size(), std::size(kRoundColumns));
+  for (size_t i = 0; i < present; ++i) {
+    const RoundColumn& column = kRoundColumns[i];
+    const char* text = field[i].c_str();
+    char* parsed_end = nullptr;
+    if (column.double_field != nullptr) {
+      out->*column.double_field = std::strtod(text, &parsed_end);
+    } else {
+      const int value = static_cast<int>(std::strtoll(text, &parsed_end, 10));
+      if (column.int_field != nullptr) {
+        out->*column.int_field = value;
+      } else {
+        out->*column.bool_field = value != 0;
+      }
+    }
+    if (parsed_end != text + field[i].size()) return false;
   }
   return true;
 }
@@ -158,6 +101,24 @@ std::string FormatJournalLine(const RoundRecord& r) {
   char crc[16];
   std::snprintf(crc, sizeof(crc), "%08x", Crc32(body));
   return body + " " + crc + "\n";
+}
+
+// The counters a snapshot tail carries, in kFaultCounters order.
+void WriteCounters(BinaryWriter* writer, const FaultStats& faults,
+                   CounterTail tail) {
+  for (const FaultCounter& counter : kFaultCounters) {
+    if (counter.tail == tail) writer->WriteI64(faults.*counter.total);
+  }
+}
+
+Status ReadCounters(BinaryReader* reader, CounterTail tail,
+                    FaultStats* faults) {
+  for (const FaultCounter& counter : kFaultCounters) {
+    if (counter.tail == tail) {
+      LIGHTTR_RETURN_NOT_OK(reader->ReadI64(&(faults->*counter.total)));
+    }
+  }
+  return Status::Ok();
 }
 
 /// Parent directory of `path` ("" when there is none to create).
@@ -199,14 +160,7 @@ std::string EncodeRunState(const ServerRunState& state) {
   writer.WriteI64(state.comm.bytes_uplink);
   writer.WriteI64(state.comm.messages);
   writer.WriteI64(state.comm.rounds);
-  writer.WriteI64(state.faults.drops);
-  writer.WriteI64(state.faults.retries);
-  writer.WriteI64(state.faults.stragglers);
-  writer.WriteI64(state.faults.rejected_uploads);
-  writer.WriteI64(state.faults.clipped_uploads);
-  writer.WriteI64(state.faults.quorum_misses);
-  writer.WriteI64(state.faults.sampled_clients);
-  writer.WriteI64(state.faults.reporting_clients);
+  WriteCounters(&writer, state.faults, CounterTail::kCore);
   writer.WriteF64(state.faults.simulated_backoff_s);
   writer.WriteString(state.global_params_blob);
   writer.WriteU32(static_cast<uint32_t>(state.optimizer_blobs.size()));
@@ -215,28 +169,17 @@ std::string EncodeRunState(const ServerRunState& state) {
   }
   // v2 self-healing tail. Appended last so the v1 prefix stays
   // byte-identical.
-  writer.WriteI64(state.faults.outlier_uploads);
-  writer.WriteI64(state.faults.diverged_rounds);
-  writer.WriteI64(state.faults.rollbacks);
-  writer.WriteI64(state.faults.quarantine_events);
-  writer.WriteI64(state.faults.parole_events);
-  writer.WriteI64(state.faults.quarantined_skips);
+  WriteCounters(&writer, state.faults, CounterTail::kHealing);
   writer.WriteString(state.reputation_blob);
   writer.WriteString(state.monitor_blob);
   writer.WriteU8(state.escalated ? 1 : 0);
   // v3 wire-transport tail.
-  writer.WriteI64(state.faults.net_retries);
-  writer.WriteI64(state.faults.net_timeouts);
-  writer.WriteI64(state.faults.net_crc_drops);
-  writer.WriteI64(state.faults.net_dedup_drops);
-  writer.WriteI64(state.faults.net_late_drops);
-  writer.WriteI64(state.faults.net_lost);
+  WriteCounters(&writer, state.faults, CounterTail::kTransport);
   writer.WriteString(state.net_rng_state);
   // v4 storage-fault tail.
-  writer.WriteI64(state.faults.storage_write_failures);
+  WriteCounters(&writer, state.faults, CounterTail::kStorage);
   // v5 adversary tail.
-  writer.WriteI64(state.faults.poisoned_uploads);
-  writer.WriteI64(state.faults.suspected_uploads);
+  WriteCounters(&writer, state.faults, CounterTail::kAdversary);
   writer.WriteString(state.adversary_blob);
   writer.WriteString(state.normbound_blob);
   std::string out = writer.Take();
@@ -279,14 +222,8 @@ Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
   LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.bytes_uplink));
   LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.messages));
   LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->comm.rounds));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.drops));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.retries));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.stragglers));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.rejected_uploads));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.clipped_uploads));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.quorum_misses));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.sampled_clients));
-  LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.reporting_clients));
+  LIGHTTR_RETURN_NOT_OK(
+      ReadCounters(&reader, CounterTail::kCore, &state->faults));
   LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&state->faults.simulated_backoff_s));
   LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->global_params_blob));
   uint32_t opt_count = 0;
@@ -298,12 +235,8 @@ Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
     state->optimizer_blobs.push_back(std::move(blob));
   }
   if (version >= 2) {
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.outlier_uploads));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.diverged_rounds));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.rollbacks));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.quarantine_events));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.parole_events));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.quarantined_skips));
+    LIGHTTR_RETURN_NOT_OK(
+        ReadCounters(&reader, CounterTail::kHealing, &state->faults));
     LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->reputation_blob));
     LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->monitor_blob));
     uint8_t escalated = 0;
@@ -314,21 +247,17 @@ Status DecodeRunState(const std::string& bytes, ServerRunState* state) {
     state->escalated = escalated != 0;
   }
   if (version >= 3) {
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_retries));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_timeouts));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_crc_drops));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_dedup_drops));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_late_drops));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.net_lost));
+    LIGHTTR_RETURN_NOT_OK(
+        ReadCounters(&reader, CounterTail::kTransport, &state->faults));
     LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->net_rng_state));
   }
   if (version >= 4) {
     LIGHTTR_RETURN_NOT_OK(
-        reader.ReadI64(&state->faults.storage_write_failures));
+        ReadCounters(&reader, CounterTail::kStorage, &state->faults));
   }
   if (version >= 5) {
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.poisoned_uploads));
-    LIGHTTR_RETURN_NOT_OK(reader.ReadI64(&state->faults.suspected_uploads));
+    LIGHTTR_RETURN_NOT_OK(
+        ReadCounters(&reader, CounterTail::kAdversary, &state->faults));
     LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->adversary_blob));
     LIGHTTR_RETURN_NOT_OK(reader.ReadString(&state->normbound_blob));
   }

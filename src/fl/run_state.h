@@ -82,18 +82,16 @@ void MaybeInjectCrash(const DurabilityConfig& config, CrashPoint point,
 /// Everything the server must persist to resume a run exactly: the
 /// last completed round, the RNG stream states, accumulated telemetry,
 /// the global parameters (float64 checkpoint blob), and each client
-/// optimizer's state. Version 2 appends the self-healing state: the
-/// extra FaultStats counters, the reputation ledger, the health
-/// monitor's rolling windows, and the escalation latch. Version 3
-/// appends the wire-transport state: the net fault counters and the
-/// channel RNG stream (so a resumed run replays the same network
-/// weather). Version 4 appends the storage-fault counter
-/// (FaultStats::storage_write_failures). Version 5 appends the
-/// adversary tail: the poisoned/suspected counters, the adversary
-/// engine's stream + honest-norm window, and the norm-bound
-/// aggregator's rolling window (so a resumed run replays the same
-/// attack weather and clips against the same bound). Older snapshots
-/// still load, the newer tails defaulting to "fresh".
+/// optimizer's state. Each later version appends one tail: the
+/// FaultStats counters whose CounterTail (fl/comm_stats.h) names that
+/// version, then the layer's own state. Version 2 adds the self-healing
+/// state (reputation ledger, health monitor windows, escalation latch),
+/// version 3 the channel RNG stream (so a resumed run replays the same
+/// network weather), version 4 only its storage counter, and version 5
+/// the adversary engine's stream + honest-norm window and the norm-bound
+/// aggregator's rolling window (so a resumed run replays the same attack
+/// weather and clips against the same bound). Older snapshots still
+/// load, the newer tails defaulting to "fresh".
 struct ServerRunState {
   int round = 0;
   std::string rng_state;        // FederatedTrainer::rng_
@@ -106,11 +104,9 @@ struct ServerRunState {
   std::string reputation_blob;  // ReputationBook::Serialize
   std::string monitor_blob;     // RoundHealthMonitor::SerializeState
   bool escalated = false;       // screening escalation latch
-  // v3 fields (empty when decoded from an older snapshot); the six
-  // FaultStats net counters also ride in the v3 tail:
+  // v3 fields (empty when decoded from an older snapshot):
   std::string net_rng_state;    // dedicated channel-fault stream
-  // v5 fields (empty when decoded from an older snapshot); the two
-  // FaultStats adversary counters also ride in the v5 tail:
+  // v5 fields (empty when decoded from an older snapshot):
   std::string adversary_blob;   // AdversaryEngine::SerializeState
   std::string normbound_blob;   // trainer's rolling accepted-norm window
 };

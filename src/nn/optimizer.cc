@@ -4,6 +4,7 @@
 
 #include "common/binary_io.h"
 #include "common/check.h"
+#include "common/finite.h"
 
 namespace lighttr::nn {
 
@@ -12,8 +13,8 @@ namespace {
 // Optimizer state blobs: u8 kind tag, then the concrete optimizer's
 // counters and moment matrices at full Scalar precision. Embedded in
 // run-state snapshots, which carry the integrity CRC; blobs here only
-// need to be bounds-safe to parse.
-constexpr uint8_t kStateKindSgd = 0;
+// need to be bounds-safe to parse. Adam's tag stays 1 so existing
+// snapshots still load.
 constexpr uint8_t kStateKindAdam = 1;
 
 void WriteMatrices(BinaryWriter* writer, const std::vector<Matrix>& matrices) {
@@ -54,6 +55,7 @@ Status ReadMatrices(BinaryReader* reader, std::vector<Matrix>* out) {
 }  // namespace
 
 void ClipGradientsByGlobalNorm(ParameterSet* params, Scalar max_norm) {
+  LIGHTTR_CHECK(params != nullptr);
   if (max_norm <= Scalar{0}) return;
   Scalar total{0};
   for (size_t i = 0; i < params->size(); ++i) {
@@ -61,68 +63,17 @@ void ClipGradientsByGlobalNorm(ParameterSet* params, Scalar max_norm) {
   }
   const Scalar norm = std::sqrt(total);
   if (norm <= max_norm) return;
+  if (!IsFinite(norm)) {
+    // A NaN/Inf gradient cannot be rescaled into a sane one; drop the
+    // step entirely rather than hand the optimizer poison.
+    params->ZeroGrads();
+    return;
+  }
   const Scalar scale = max_norm / norm;
   for (size_t i = 0; i < params->size(); ++i) {
     Matrix& g = params->tensor(i).grad();
     for (size_t j = 0; j < g.size(); ++j) g.data()[j] *= scale;
   }
-}
-
-SgdOptimizer::SgdOptimizer(Scalar learning_rate, Scalar momentum,
-                           Scalar clip_norm)
-    : learning_rate_(learning_rate),
-      momentum_(momentum),
-      clip_norm_(clip_norm) {
-  LIGHTTR_CHECK_GT(learning_rate, Scalar{0});
-  LIGHTTR_CHECK_GE(momentum, Scalar{0});
-  LIGHTTR_CHECK_LT(momentum, Scalar{1});
-}
-
-void SgdOptimizer::Step(ParameterSet* params) {
-  LIGHTTR_CHECK(params != nullptr);
-  ClipGradientsByGlobalNorm(params, clip_norm_);
-  if (velocity_.empty() && momentum_ > Scalar{0}) {
-    for (size_t i = 0; i < params->size(); ++i) {
-      const Matrix& value = params->tensor(i).value();
-      velocity_.emplace_back(value.rows(), value.cols());
-    }
-  }
-  for (size_t i = 0; i < params->size(); ++i) {
-    Matrix& value = params->tensor(i).mutable_value();
-    const Matrix& grad = params->tensor(i).grad();
-    if (momentum_ > Scalar{0}) {
-      Matrix& vel = velocity_[i];
-      LIGHTTR_CHECK(vel.SameShape(value));
-      for (size_t j = 0; j < value.size(); ++j) {
-        vel.data()[j] = momentum_ * vel.data()[j] - learning_rate_ * grad.data()[j];
-        value.data()[j] += vel.data()[j];
-      }
-    } else {
-      value.AddScaled(grad, -learning_rate_);
-    }
-  }
-  params->ZeroGrads();
-}
-
-std::string SgdOptimizer::SerializeState() const {
-  BinaryWriter writer;
-  writer.WriteU8(kStateKindSgd);
-  WriteMatrices(&writer, velocity_);
-  return writer.Take();
-}
-
-Status SgdOptimizer::DeserializeState(const std::string& bytes) {
-  BinaryReader reader(bytes);
-  uint8_t kind = 0;
-  LIGHTTR_RETURN_NOT_OK(reader.ReadU8(&kind));
-  if (kind != kStateKindSgd) {
-    return Status::InvalidArgument("state blob is not SGD state");
-  }
-  LIGHTTR_RETURN_NOT_OK(ReadMatrices(&reader, &velocity_));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes in SGD state blob");
-  }
-  return Status::Ok();
 }
 
 AdamOptimizer::AdamOptimizer(Scalar learning_rate, Scalar beta1, Scalar beta2,

@@ -1,4 +1,5 @@
-// First-order optimizers over ParameterSets: SGD (with momentum) and Adam.
+// First-order optimizer over ParameterSets: Adam, plus global-norm
+// gradient clipping.
 #ifndef LIGHTTR_NN_OPTIMIZER_H_
 #define LIGHTTR_NN_OPTIMIZER_H_
 
@@ -39,28 +40,6 @@ class Optimizer {
   }
 };
 
-/// Stochastic gradient descent with optional classical momentum and
-/// gradient clipping by global norm.
-class SgdOptimizer : public Optimizer {
- public:
-  explicit SgdOptimizer(Scalar learning_rate, Scalar momentum = Scalar{0},
-                        Scalar clip_norm = Scalar{0});
-
-  void Step(ParameterSet* params) override;
-
-  std::string SerializeState() const override;
-  [[nodiscard]] Status DeserializeState(const std::string& bytes) override;
-
-  Scalar learning_rate() const { return learning_rate_; }
-  void set_learning_rate(Scalar lr) { learning_rate_ = lr; }
-
- private:
-  Scalar learning_rate_;
-  Scalar momentum_;
-  Scalar clip_norm_;  // 0 disables clipping
-  std::vector<Matrix> velocity_;
-};
-
 /// Adam (Kingma & Ba) with bias correction and optional clipping.
 class AdamOptimizer : public Optimizer {
  public:
@@ -90,8 +69,11 @@ class AdamOptimizer : public Optimizer {
   std::vector<Matrix> v_;
 };
 
-/// Scales all gradients so their global L2 norm is at most `max_norm`
-/// (no-op when max_norm <= 0 or the norm is already within bounds).
+/// Global-norm gradient clipping (the standard "clip_grad_norm" rule):
+/// when the L2 norm over ALL gradients in `params` exceeds `max_norm`,
+/// every gradient is scaled by max_norm / norm. A non-finite norm zeroes
+/// every gradient (a poisoned step must not reach the optimizer). No-op
+/// when max_norm <= 0 or the norm is already within bounds.
 void ClipGradientsByGlobalNorm(ParameterSet* params, Scalar max_norm);
 
 }  // namespace lighttr::nn

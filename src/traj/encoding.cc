@@ -205,6 +205,13 @@ StepCandidates TrajectoryEncoder::CandidatesForStep(
       std::max(options_.gamma, options_.gamma_gap_factor * gap_m);
 
   auto nearby = index_.Nearby(estimate, radius);
+  // An empty search (an estimate far from every road) widens until it
+  // finds the nearest segments: the candidate list is never empty, and
+  // it never consults the ground truth of the step being recovered.
+  for (double widened = 2.0 * radius; nearby.empty(); widened *= 2.0) {
+    LIGHTTR_CHECK_GT(network_.num_segments(), 0);
+    nearby = index_.Nearby(estimate, widened);
+  }
   if (static_cast<int>(nearby.size()) > options_.max_candidates) {
     nearby.resize(static_cast<size_t>(options_.max_candidates));
   }
@@ -252,14 +259,6 @@ StepCandidates TrajectoryEncoder::CandidatesForStep(
     out.segments.push_back(candidate.segment);
     out.log_mask.push_back(
         log_mask_of(candidate.segment, candidate.projection.distance_m));
-  }
-  if (out.target_index < 0) {
-    // True segment outside the search radius: append it so the loss is
-    // defined. Its mask weight uses its actual distance.
-    const auto proj = network_.ProjectOntoSegment(true_segment, estimate);
-    out.target_index = static_cast<int>(out.segments.size());
-    out.segments.push_back(true_segment);
-    out.log_mask.push_back(log_mask_of(true_segment, proj.distance_m));
   }
   return out;
 }

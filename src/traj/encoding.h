@@ -29,9 +29,9 @@ struct StepCandidates {
   std::vector<int> segments;       // candidate segment ids
   std::vector<nn::Scalar> log_mask;  // log c_i of Eq. 10 per candidate
   int target_index = -1;           // position of the true segment, or -1
-  /// True when the true segment was found by the spatial search. When
-  /// false, the mask of Eq. 10 assigns it (near-)zero probability
-  /// ("omega = 0" in the paper), making the step unlearnable — models
+  /// True when the true segment was found by the spatial search (then
+  /// target_index >= 0). When false, the candidate set cannot express
+  /// it ("omega = 0" in the paper), making the step unlearnable — models
   /// skip its CE term rather than memorise an exception.
   bool target_in_range = false;
 };
@@ -90,10 +90,11 @@ class TrajectoryEncoder {
       const IncompleteTrajectory& trajectory) const;
 
   /// Candidates + constraint-mask weights for step `t`, built around the
-  /// anchor-interpolated position (the model does not see the ground
-  /// truth). If the true segment is not among the spatial candidates it
-  /// is appended (standard practice so the CE loss is well-defined);
-  /// `target_index` records its position either way.
+  /// anchor-interpolated position. The list depends only on the
+  /// observed anchors, never on the step's ground truth, and is never
+  /// empty (an empty search widens until it finds the nearest roads).
+  /// `target_index` is the true segment's position in it, or -1 when
+  /// the search missed it.
   StepCandidates CandidatesForStep(const IncompleteTrajectory& trajectory,
                                    size_t t) const;
 

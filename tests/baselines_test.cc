@@ -171,5 +171,40 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ModelSerializationProperty,
                                            ModelKind::kRnTrajRec,
                                            ModelKind::kLightTr));
 
+// Metamorphic property: Recover reads only what a deployment has — the
+// observed points — so replacing the ground truth of every missing
+// point leaves its output bitwise unchanged, for every model kind.
+class RecoverIgnoresHiddenTruth
+    : public BaselinesTest,
+      public ::testing::WithParamInterface<ModelKind> {};
+
+TEST_P(RecoverIgnoresHiddenTruth, MissingTruthDoesNotReachRecover) {
+  Rng rng(64);
+  auto model = MakeFactory(GetParam(), encoder_.get())(&rng);
+  nn::AdamOptimizer optimizer(3e-3);
+  fl::LocalTrainOptions options;
+  options.epochs = 1;
+  fl::TrainLocal(model.get(), &optimizer, clients_[0].train, options, &rng);
+  for (const auto& client : clients_) {
+    for (const traj::IncompleteTrajectory& trajectory : client.test) {
+      traj::IncompleteTrajectory decoy = trajectory;
+      for (size_t t = 0; t < decoy.size(); ++t) {
+        if (decoy.observed[t]) continue;
+        roadnet::PointPosition& position =
+            decoy.ground_truth.points[t].position;
+        position.segment = (position.segment + 7) % network_.num_segments();
+        position.ratio = 1.0 - position.ratio;
+      }
+      EXPECT_EQ(model->Recover(trajectory), model->Recover(decoy));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, RecoverIgnoresHiddenTruth,
+                         ::testing::Values(ModelKind::kFc, ModelKind::kRnn,
+                                           ModelKind::kMTrajRec,
+                                           ModelKind::kRnTrajRec,
+                                           ModelKind::kLightTr));
+
 }  // namespace
 }  // namespace lighttr::baselines

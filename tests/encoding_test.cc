@@ -2,6 +2,8 @@
 // constraint mask (Eq. 10/11), and route-based interpolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "roadnet/generators.h"
 #include "roadnet/segment_index.h"
 #include "traj/downsample.h"
@@ -65,16 +67,49 @@ TEST_F(EncodingTest, TargetsMatchGroundTruth) {
   }
 }
 
-TEST_F(EncodingTest, CandidatesAlwaysContainTruth) {
-  const IncompleteTrajectory icp = MakeSample(0.125, 33);
-  for (size_t t = 0; t < icp.size(); ++t) {
-    const StepCandidates candidates = encoder_->CandidatesForStep(icp, t);
-    ASSERT_GE(candidates.target_index, 0);
-    ASSERT_LT(static_cast<size_t>(candidates.target_index),
-              candidates.segments.size());
-    EXPECT_EQ(candidates.segments[candidates.target_index],
-              icp.ground_truth.points[t].position.segment);
-    EXPECT_EQ(candidates.segments.size(), candidates.log_mask.size());
+TEST_F(EncodingTest, TargetIndexIsMinusOneExactlyWhenTruthIsAbsent) {
+  int absent = 0;
+  for (uint64_t seed = 33; seed < 41; ++seed) {
+    const IncompleteTrajectory icp = MakeSample(0.0625, seed);
+    for (size_t t = 0; t < icp.size(); ++t) {
+      const StepCandidates candidates = encoder_->CandidatesForStep(icp, t);
+      ASSERT_FALSE(candidates.segments.empty());
+      EXPECT_EQ(candidates.segments.size(), candidates.log_mask.size());
+      const int truth = icp.ground_truth.points[t].position.segment;
+      const auto found = std::find(candidates.segments.begin(),
+                                   candidates.segments.end(), truth);
+      if (found == candidates.segments.end()) {
+        ++absent;
+        EXPECT_EQ(candidates.target_index, -1);
+        EXPECT_FALSE(candidates.target_in_range);
+      } else {
+        EXPECT_EQ(candidates.target_index,
+                  static_cast<int>(found - candidates.segments.begin()));
+        EXPECT_TRUE(candidates.target_in_range);
+      }
+    }
+  }
+  // Sparse keep ratios make the search miss some truths, so both
+  // branches above are exercised.
+  EXPECT_GT(absent, 0);
+}
+
+TEST_F(EncodingTest, CandidatesIgnoreTheTruthOfMissingSteps) {
+  for (uint64_t seed = 33; seed < 37; ++seed) {
+    const IncompleteTrajectory icp = MakeSample(0.125, seed);
+    IncompleteTrajectory decoy = icp;
+    for (size_t t = 0; t < decoy.size(); ++t) {
+      if (decoy.observed[t]) continue;
+      roadnet::PointPosition& position = decoy.ground_truth.points[t].position;
+      position.segment = (position.segment + 7) % network_.num_segments();
+      position.ratio = 1.0 - position.ratio;
+    }
+    for (size_t t = 0; t < icp.size(); ++t) {
+      const StepCandidates a = encoder_->CandidatesForStep(icp, t);
+      const StepCandidates b = encoder_->CandidatesForStep(decoy, t);
+      EXPECT_EQ(a.segments, b.segments) << "seed " << seed << " step " << t;
+      EXPECT_EQ(a.log_mask, b.log_mask) << "seed " << seed << " step " << t;
+    }
   }
 }
 
@@ -186,6 +221,35 @@ TEST_F(EncodingTest, DirectionMaskPrefersTravelDirection) {
     }
     EXPECT_LT(reverse_mask, truth_mask) << "step " << i;
   }
+}
+
+TEST(EncodingWidening, EmptySearchWidensToTheNearestRoads) {
+  // Two one-way segments ~4 km apart with no route between them: the
+  // missing midpoint falls back to the straight line, ~2 km from either
+  // road and outside the gap-scaled search radius.
+  roadnet::RoadNetwork network;
+  const roadnet::VertexId a0 = network.AddVertex({39.9, 116.300});
+  const roadnet::VertexId a1 = network.AddVertex({39.9, 116.301});
+  const roadnet::VertexId b0 = network.AddVertex({39.9, 116.350});
+  const roadnet::VertexId b1 = network.AddVertex({39.9, 116.351});
+  const roadnet::SegmentId west = network.AddSegment(a0, a1);
+  const roadnet::SegmentId east = network.AddSegment(b0, b1);
+  network.Finalize();
+  const roadnet::SegmentIndex index(network);
+  const TrajectoryEncoder encoder(network, index);
+
+  IncompleteTrajectory icp;
+  icp.ground_truth.epsilon_s = 10.0;
+  icp.ground_truth.points = {MatchedPoint{{west, 0.5}, 0.0, 0},
+                             MatchedPoint{{east, 0.0}, 10.0, 1},
+                             MatchedPoint{{east, 0.5}, 20.0, 2}};
+  icp.observed = {true, false, true};
+  ASSERT_FALSE(encoder.RouteInterpolatedPosition(icp, 1).has_value());
+  const StepCandidates candidates = encoder.CandidatesForStep(icp, 1);
+  ASSERT_EQ(candidates.segments.size(), 2u);
+  EXPECT_EQ(candidates.log_mask.size(), 2u);
+  EXPECT_EQ(candidates.segments[candidates.target_index], east);
+  EXPECT_TRUE(candidates.target_in_range);
 }
 
 TEST_F(EncodingTest, FullyObservedTrajectoryHasNoMissingTargets) {

@@ -30,19 +30,6 @@ Matrix MinimizeQuadratic(Opt* optimizer, int steps) {
   return w.value();
 }
 
-TEST(Sgd, ConvergesOnQuadratic) {
-  SgdOptimizer sgd(0.2);
-  const Matrix w = MinimizeQuadratic(&sgd, 200);
-  EXPECT_NEAR(w(0, 0), 1.0, 1e-3);
-  EXPECT_NEAR(w(0, 1), -2.0, 1e-3);
-}
-
-TEST(Sgd, MomentumConverges) {
-  SgdOptimizer sgd(0.05, /*momentum=*/0.9);
-  const Matrix w = MinimizeQuadratic(&sgd, 300);
-  EXPECT_NEAR(w(0, 2), 0.5, 1e-2);
-}
-
 TEST(Adam, ConvergesOnQuadratic) {
   AdamOptimizer adam(0.1, 0.9, 0.999, 1e-8, /*clip_norm=*/0,
                      /*weight_decay=*/0);
@@ -69,8 +56,8 @@ TEST(Optimizer, StepZeroesGradients) {
   params.Register("w", w);
   Tensor loss = Mean(w);
   loss.Backward();
-  SgdOptimizer sgd(0.1);
-  sgd.Step(&params);
+  AdamOptimizer adam(0.1);
+  adam.Step(&params);
   EXPECT_DOUBLE_EQ(w.grad()(0, 0), 0.0);
 }
 

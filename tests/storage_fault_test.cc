@@ -2,11 +2,13 @@
 // fault axis, sync/crash behavior, seeded determinism), the
 // failure-path hygiene contract both FileSystem backends share,
 // cross-version run-state decoding (a v4 reader must load v1/v2/v3
-// blobs), backoff saturation at extreme retry counts, and
+// blobs), the counter table's journal/snapshot round trip and golden
+// bytes, backoff saturation at extreme retry counts, and
 // corrupted-newest snapshot fallback driven by a filesystem-injected
 // read fault rather than on-disk byte surgery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <filesystem>
@@ -534,6 +536,214 @@ TEST(RunStateVersions, TrailingBytesAfterAKnownVersionAreRejected) {
   AppendCrc32Trailer(&blob);
   fl::ServerRunState out;
   EXPECT_FALSE(fl::DecodeRunState(blob, &out).ok());
+}
+
+// ---------------------------------------------------------------------
+// The counter table (fl/comm_stats.h) drives the journal columns and
+// the snapshot counter tails; these tests pin that every counter makes
+// the trip, and that the bytes match what the hand-written codecs the
+// table replaced produced.
+
+TEST(CounterTable, EveryCounterRoundTripsThroughJournalAndSnapshot) {
+  FaultyFileSystem fs;
+  fl::RoundRecord record;
+  int next = 2;  // >= 2, so no value collides with a 0/1 quorum miss
+  for (const fl::RoundColumn& column : fl::kRoundColumns) {
+    if (column.int_field != nullptr) record.*column.int_field = next;
+    if (column.double_field != nullptr) {
+      record.*column.double_field = next + 1.0 / 3.0;
+    }
+    if (column.bool_field != nullptr) {
+      record.*column.bool_field = !(record.*column.bool_field);
+    }
+    ++next;
+  }
+  ASSERT_TRUE(fl::AppendJournalRecord(&fs, "/run", record).ok());
+  Result<std::vector<fl::RoundRecord>> journal = fl::ReadJournal(&fs, "/run");
+  ASSERT_TRUE(journal.ok());
+  ASSERT_EQ(journal.value().size(), 1u);
+  const fl::RoundRecord& back = journal.value()[0];
+  for (const fl::RoundColumn& column : fl::kRoundColumns) {
+    if (column.double_field != nullptr) {
+      EXPECT_EQ(back.*column.double_field, record.*column.double_field)
+          << column.name;
+    } else {
+      EXPECT_EQ(fl::IntColumnValue(column, back),
+                fl::IntColumnValue(column, record))
+          << column.name;
+    }
+  }
+  // No two counters read the same round field.
+  std::vector<int> per_round;
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    if (counter.per_round == nullptr) continue;
+    const int value = counter.per_round(record);
+    EXPECT_EQ(std::count(per_round.begin(), per_round.end(), value), 0)
+        << counter.name;
+    per_round.push_back(value);
+  }
+
+  fl::ServerRunState state;
+  state.round = 3;
+  int64_t value = 1000;
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    state.faults.*counter.total = value++;
+  }
+  state.faults.simulated_backoff_s = 0.75;
+  ASSERT_TRUE(fl::SaveRunState(&fs, "/run/snap.ltrs", state).ok());
+  Result<fl::ServerRunState> loaded = fl::LoadRunState(&fs, "/run/snap.ltrs");
+  ASSERT_TRUE(loaded.ok());
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    EXPECT_EQ(loaded.value().faults.*counter.total, state.faults.*counter.total)
+        << counter.name;
+  }
+  EXPECT_EQ(loaded.value().faults.simulated_backoff_s, 0.75);
+}
+
+TEST(CounterTable, RollbackRestoresPerRoundCountersOnly) {
+  // The counters a rollback keeps: the healing layer's lifetime totals
+  // and the running storage total.
+  const std::vector<std::string> kept = {
+      "outlier_uploads",   "diverged_rounds", "rollbacks",
+      "quarantine_events", "parole_events",   "quarantined_skips",
+      "storage_write_failures"};
+  fl::FaultStats anchor;
+  fl::FaultStats live;
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    anchor.*counter.total = 1;
+    live.*counter.total = 9;
+  }
+  anchor.simulated_backoff_s = 1.0;
+  live.simulated_backoff_s = 9.0;
+  fl::RollBackCounters(anchor, &live);
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    const bool keeps =
+        std::count(kept.begin(), kept.end(), counter.name) > 0;
+    const int64_t expected = keeps ? 9 : 1;
+    EXPECT_EQ(live.*counter.total, expected) << counter.name;
+  }
+  EXPECT_EQ(live.simulated_backoff_s, 1.0);
+}
+
+TEST(CounterTable, FoldAddsRoundDeltasButNotRunningTotals) {
+  fl::RoundRecord record;
+  record.drops = 2;
+  record.quorum_met = false;
+  record.skipped_quarantined = 3;
+  record.storage_write_failures = 5;
+  fl::FaultStats faults;
+  faults.storage_write_failures = 7;
+  fl::FoldRound(record, &faults);
+  fl::FoldRound(record, &faults);
+  EXPECT_EQ(faults.drops, 4);
+  EXPECT_EQ(faults.quorum_misses, 2);
+  EXPECT_EQ(faults.quarantined_skips, 6);
+  EXPECT_EQ(faults.storage_write_failures, 7);
+}
+
+// Bytes produced by the hand-written journal formatter and snapshot
+// encoder that the counter table replaced, for the state below.
+constexpr char kGoldenJournalLine[] =
+    "12 0.33333333333333331 0.625 0.10000000000000001 31 17 2 5 3 4 0 "
+    "0.2857142857142857 2 6 7 8 1 9 10 11 12 13 14 15 16 18 fc4f93fb\n";
+constexpr char kGoldenSnapshotHex[] =
+    "4c545253050000000c0000000300000000000000726e67050000000000000066"
+    "61756c745704000000000000ae0800000000000021000000000000000c000000"
+    "0000000065000000000000006600000000000000670000000000000068000000"
+    "0000000069000000000000006a000000000000006b000000000000006c000000"
+    "0000000000000000000006400600000000000000706172616d73020000000500"
+    "0000000000006f70742d3005000000000000006f70742d316d00000000000000"
+    "6e000000000000006f0000000000000070000000000000007100000000000000"
+    "7200000000000000030000000000000072657003000000000000006d6f6e0173"
+    "0000000000000074000000000000007500000000000000760000000000000077"
+    "00000000000000780000000000000003000000000000006e6574790000000000"
+    "00007a000000000000007b000000000000000300000000000000616476030000"
+    "00000000006e62770388f3a2";
+
+std::string FromHex(const std::string& hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    const int byte = std::stoi(hex.substr(i, 2), nullptr, 16);
+    bytes.push_back(static_cast<char>(byte));
+  }
+  return bytes;
+}
+
+TEST(CounterTable, JournalLineAndSnapshotBytesAreUnchanged) {
+  fl::RoundRecord r;
+  r.round = 12;
+  r.mean_train_loss = 1.0 / 3.0;
+  r.global_valid_accuracy = 0.625;
+  r.wall_seconds = 0.1;
+  r.sampled = 31;
+  r.reporting = 17;
+  r.drops = 2;
+  r.retries = 5;
+  r.stragglers = 3;
+  r.rejected_uploads = 4;
+  r.quorum_met = false;
+  r.valid_loss = 2.0 / 7.0;
+  r.verdict = 2;
+  r.outlier_uploads = 6;
+  r.quarantined = 7;
+  r.skipped_quarantined = 8;
+  r.escalated = true;
+  r.net_retries = 9;
+  r.net_timeouts = 10;
+  r.net_crc_drops = 11;
+  r.net_dedup_drops = 12;
+  r.net_late_drops = 13;
+  r.net_lost = 14;
+  r.storage_write_failures = 15;
+  r.poisoned_uploads = 16;
+  r.suspected_uploads = 18;
+  FaultyFileSystem fs;
+  ASSERT_TRUE(fl::AppendJournalRecord(&fs, "/g", r).ok());
+  Result<std::string> journal = fs.ReadFile("/g/journal.log");
+  ASSERT_TRUE(journal.ok());
+  EXPECT_EQ(journal.value(), kGoldenJournalLine);
+
+  fl::ServerRunState s;
+  s.round = 12;
+  s.rng_state = "rng";
+  s.fault_rng_state = "fault";
+  s.comm.bytes_downlink = 1111;
+  s.comm.bytes_uplink = 2222;
+  s.comm.messages = 33;
+  s.comm.rounds = 12;
+  s.faults.drops = 101;
+  s.faults.retries = 102;
+  s.faults.stragglers = 103;
+  s.faults.rejected_uploads = 104;
+  s.faults.clipped_uploads = 105;
+  s.faults.quorum_misses = 106;
+  s.faults.sampled_clients = 107;
+  s.faults.reporting_clients = 108;
+  s.faults.simulated_backoff_s = 2.75;
+  s.faults.outlier_uploads = 109;
+  s.faults.diverged_rounds = 110;
+  s.faults.rollbacks = 111;
+  s.faults.quarantine_events = 112;
+  s.faults.parole_events = 113;
+  s.faults.quarantined_skips = 114;
+  s.faults.net_retries = 115;
+  s.faults.net_timeouts = 116;
+  s.faults.net_crc_drops = 117;
+  s.faults.net_dedup_drops = 118;
+  s.faults.net_late_drops = 119;
+  s.faults.net_lost = 120;
+  s.faults.storage_write_failures = 121;
+  s.faults.poisoned_uploads = 122;
+  s.faults.suspected_uploads = 123;
+  s.global_params_blob = "params";
+  s.optimizer_blobs = {"opt-0", "opt-1"};
+  s.reputation_blob = "rep";
+  s.monitor_blob = "mon";
+  s.escalated = true;
+  s.net_rng_state = "net";
+  s.adversary_blob = "adv";
+  s.normbound_blob = "nbw";
+  EXPECT_EQ(fl::EncodeRunState(s), FromHex(kGoldenSnapshotHex));
 }
 
 // ---------------------------------------------------------------------
