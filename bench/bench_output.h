@@ -29,8 +29,9 @@ struct BenchArgs {
   /// Set when a flag failed to parse; the bench should print usage and
   /// exit non-zero.
   bool error = false;
-  /// Set by --smoke (bench_kernels and bench_adversary honour it
-  /// today): run tiny sizes and assert invariants instead of measuring.
+  /// Set by --smoke (bench_kernels, bench_adversary and bench_transport
+  /// honour it): run tiny sizes and assert invariants instead of
+  /// measuring.
   bool smoke = false;
 };
 

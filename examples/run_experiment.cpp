@@ -59,6 +59,33 @@ bool HasFlag(int argc, char** argv, const std::string& key) {
   return value == "1" || value == "true";
 }
 
+// Every flag main() reads. Lookups by key never see a misspelled flag,
+// so argv is checked against this list up front: a typo is a usage
+// error, never a silent run on defaults.
+constexpr const char* kKnownFlags[] = {
+    "method", "dataset", "keep", "clients", "rounds", "epochs",
+    "traj-per-client", "grid", "seed", "lr", "fraction", "checkpoint-dir",
+    "checkpoint-every", "resume", "threads", "kernel", "health",
+    "quarantine-threshold", "max-rollbacks", "clip-norm", "net-drop",
+    "net-corrupt", "net-delay", "net-dup", "net-reorder", "net-truncate",
+    "net-retries", "net-seed", "aggregation", "byzantine-fraction",
+    "exclude-suspected", "adversary-count", "adversary-attack",
+    "adversary-scale", "adversary-start", "adversary-seed"};
+
+// The first argv entry that is not `--key` or `--key=value` for a known
+// key, or null when every entry is.
+const char* UnknownFlag(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::string key =
+        arg.rfind("--", 0) == 0 ? arg.substr(2, arg.find('=') - 2) : "";
+    bool known = false;
+    for (const char* flag : kKnownFlags) known = known || key == flag;
+    if (!known) return argv[i];
+  }
+  return nullptr;
+}
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -75,7 +102,7 @@ int Usage() {
       "                      [--net-drop=0] [--net-corrupt=0] [--net-delay=0]\n"
       "                      [--net-dup=0] [--net-reorder=0]\n"
       "                      [--net-truncate=0] [--net-retries=3]\n"
-      "                      [--net-seed=1592639710] [--no-transport]\n"
+      "                      [--net-seed=1592639710]\n"
       "                      [--aggregation=mean|median|trimmed|krum|\n"
       "                       multikrum|normbound] [--byzantine-fraction=0.25]\n"
       "                      [--exclude-suspected]\n"
@@ -114,8 +141,7 @@ int Usage() {
       "--net-corrupt/--net-delay/--net-dup/--net-reorder/--net-truncate\n"
       "set per-frame fault probabilities in [0,1); --net-retries bounds\n"
       "retransmissions per exchange; --net-seed re-rolls the network's\n"
-      "weather without touching any training draw. --no-transport falls\n"
-      "back to the legacy in-process handoff with estimated byte counts.\n"
+      "weather without touching any training draw.\n"
       "\n"
       "Byzantine robustness: --aggregation selects the server rule over\n"
       "screened uploads (federated methods only; mean is the paper's\n"
@@ -137,13 +163,16 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (const char* unknown = UnknownFlag(argc, argv)) {
+    std::fprintf(stderr, "run_experiment: unknown flag '%s'\n", unknown);
+    return Usage();
+  }
   const std::string method = FlagValue(argc, argv, "method", "lighttr");
   const std::string dataset = FlagValue(argc, argv, "dataset", "geolife");
   const std::string checkpoint_dir =
       FlagValue(argc, argv, "checkpoint-dir", "");
   const bool resume = HasFlag(argc, argv, "resume");
   const bool health = HasFlag(argc, argv, "health");
-  const bool no_transport = HasFlag(argc, argv, "no-transport");
   const bool exclude_suspected = HasFlag(argc, argv, "exclude-suspected");
   double keep = 0.0;
   double lr = 0.0;
@@ -345,7 +374,6 @@ int main(int argc, char** argv) {
     options.fed.healing.reputation.quarantine_threshold = quarantine_threshold;
     options.fed.healing.max_rollbacks = max_rollbacks;
     options.fed.clip_norm = clip_norm;
-    options.fed.transport.enabled = !no_transport;
     options.fed.transport.channel_seed = static_cast<uint64_t>(net_seed_ll);
     options.fed.transport.channel.drop_rate = net_drop;
     options.fed.transport.channel.corrupt_rate = net_corrupt;

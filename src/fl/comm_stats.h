@@ -314,11 +314,9 @@ inline int IntColumnValue(const RoundColumn& column,
                                      : (record.*column.bool_field ? 1 : 0);
 }
 
-/// Accumulated transport statistics of one federated run. With the wire
-/// transport enabled (the default) every figure is *measured* from
-/// encoded frame lengths — retransmissions and channel-injected
-/// duplicates included; with transport disabled they fall back to the
-/// legacy per-contact estimate (kept as the bench baseline).
+/// Accumulated transport statistics of one federated run. Every figure
+/// is *measured* from encoded frame lengths — retransmissions and
+/// channel-injected duplicates included.
 struct CommStats {
   int64_t bytes_downlink = 0;  // server -> clients
   int64_t bytes_uplink = 0;    // clients -> server

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 
 #include "common/binary_io.h"
 #include "common/check.h"
@@ -49,13 +48,11 @@ struct ClientSlot {
   bool corrupt = false;    // rejection was for non-finite scalars
   bool clipped = false;    // upload was norm-clipped by screening
   bool poisoned = false;   // upload rewritten by the injected adversary
-  int attempts = 0;        // downlink sends (first contact + retries)
   int retries = 0;
   double backoff_s = 0.0;
   double loss = 0.0;          // valid when trained
   double delta_norm = 0.0;    // L2 delta of the accepted upload
-  int64_t uplink_bytes = 0;   // legacy estimate (transport disabled only)
-  transport::LinkStats link;  // exact frame accounting (transport on)
+  transport::LinkStats link;  // exact frame accounting
   std::vector<nn::Scalar> upload;  // valid when sent and not rejected
 };
 
@@ -326,33 +323,31 @@ Status FederatedTrainer::ResumeFrom(const std::string& dir) {
   for (auto it = all.rbegin(); it != all.rend(); ++it) {
     const std::string path = SnapshotPath(dir, *it);
     Result<ServerRunState> loaded = LoadRunState(fs, path);
-    if (!loaded.ok()) {
+    Status rejected = loaded.status();
+    if (rejected.ok()) {
+      const ServerRunState& candidate = loaded.value();
+      if (candidate.optimizer_blobs.size() != client_optimizers_.size()) {
+        // A shape mismatch is a caller error (wrong trainer for this
+        // directory), not snapshot corruption: fail hard, do not fall
+        // back to an older snapshot that would mismatch identically.
+        return Status::InvalidArgument(
+            "snapshot has optimizer state for " +
+            std::to_string(candidate.optimizer_blobs.size()) +
+            " clients, trainer has " +
+            std::to_string(client_optimizers_.size()));
+      }
+      // Includes non-finite-poisoned global models (ParseCheckpoint
+      // refuses them): rejected like a CRC failure.
+      rejected = RestoreFromState(candidate, /*restore_reputation=*/true);
+    }
+    if (!rejected.ok()) {
       std::fprintf(stderr,
                    "[lighttr] warning: snapshot %s rejected (%s); falling "
                    "back to the previous one\n",
-                   path.c_str(), loaded.status().ToString().c_str());
+                   path.c_str(), rejected.ToString().c_str());
       continue;
     }
     const ServerRunState& state = loaded.value();
-    if (state.optimizer_blobs.size() != client_optimizers_.size()) {
-      // A shape mismatch is a caller error (wrong trainer for this
-      // directory), not snapshot corruption: fail hard, do not fall
-      // back to an older snapshot that would mismatch identically.
-      return Status::InvalidArgument(
-          "snapshot has optimizer state for " +
-          std::to_string(state.optimizer_blobs.size()) + " clients, trainer has " +
-          std::to_string(client_optimizers_.size()));
-    }
-    const Status restored = RestoreFromState(state, /*restore_reputation=*/true);
-    if (!restored.ok()) {
-      // Includes non-finite-poisoned global models (ParseCheckpoint
-      // refuses them): warn and fall back, same as a CRC failure.
-      std::fprintf(stderr,
-                   "[lighttr] warning: snapshot %s rejected (%s); falling "
-                   "back to the previous one\n",
-                   path.c_str(), restored.ToString().c_str());
-      continue;
-    }
     // Every counter continues from where the snapshot left off (tails
     // an older snapshot lacks restore as 0).
     faults_ = state.faults;
@@ -411,15 +406,13 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
   const int sampled = std::max(
       1, static_cast<int>(std::llround(options_.client_fraction *
                                        static_cast<double>(num_clients))));
-  const int64_t wire_bytes = global_model_->params().WireBytes();
   const FaultModel fault_model(options_.faults);
   const bool inject = options_.faults.enabled();
   const bool healing = options_.healing.enabled;
-  const bool use_transport = options_.transport.enabled;
   // Config-only conditionality (like `inject`): whether per-task
   // channel streams are forked depends on the fault *configuration*,
   // never on any outcome, so the fork sequence is fixed per round.
-  const bool net_faulty = use_transport && options_.transport.faulty();
+  const bool net_faulty = options_.transport.faulty();
   // Sample the validation pool from a *copy* of the stream so Run() is
   // idempotent with respect to valid_rng_ (a resumed trainer draws the
   // identical pool without any state having been persisted for it).
@@ -469,20 +462,16 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     // each fork is unconditional given the *config* (never conditional
     // on another client's fault outcome), so the streams — and thus the
     // results — are identical for every thread count.
-    const std::string global_blob = global_model_->params().Serialize();
     const std::vector<nn::Scalar> global_flat =
         global_model_->params().Flatten();
     // The round's pull reply is identical for every client: encode the
     // frame once on the coordinating thread and share it read-only.
-    std::string pull_reply_frame;
-    if (use_transport) {
-      transport::ModelPullReply reply;
-      reply.round = round;
-      reply.model_blob = global_blob;
-      pull_reply_frame =
-          transport::EncodeFrame(transport::FrameType::kModelPullReply,
-                                 transport::EncodeModelPullReply(reply));
-    }
+    transport::ModelPullReply reply;
+    reply.round = round;
+    reply.model_blob = global_model_->params().Serialize();
+    const std::string pull_reply_frame =
+        transport::EncodeFrame(transport::FrameType::kModelPullReply,
+                               transport::EncodeModelPullReply(reply));
     // Adversary prologue (coordinating thread): resample any colluding
     // drift direction for this round before per-attacker streams fork.
     const bool attack_round =
@@ -517,7 +506,6 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // budget and a simulated backoff delay before the next attempt.
       FaultDraw draw;
       for (int attempt = 0;; ++attempt) {
-        ++slot.attempts;  // each attempt (re)sends the global model
         if (inject) draw = fault_model.Draw(&task.fault_rng);
         if (draw.type != FaultType::kDropout) {
           slot.contacted = true;
@@ -534,24 +522,19 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       // The client's link for this round: both channel directions plus
       // the server endpoint (dedup + the shared pull-reply frame). All
       // state is task-private, so links run concurrently unshared.
-      std::optional<transport::ReliableLink> link;
-      if (use_transport) {
-        link.emplace(
-            options_.transport.LinkConfig(static_cast<int>(client_index)),
-            options_.transport.retry, round, static_cast<int>(client_index),
-            &pull_reply_frame, net_faulty ? &task.net_rng : nullptr);
-        Result<std::string> blob = link->PullModelBlob();
-        if (!blob.ok()) {
-          // The link is down before the client ever saw the model:
-          // charged to the network, not the client.
-          slot.net_lost = true;
-          slot.link = link->stats();
-          return;
-        }
-        LIGHTTR_CHECK_OK(client->params().Deserialize(blob.value()));
-      } else {
-        LIGHTTR_CHECK_OK(client->params().Deserialize(global_blob));
+      transport::ReliableLink link(
+          options_.transport.LinkConfig(static_cast<int>(client_index)),
+          options_.transport.retry, round, static_cast<int>(client_index),
+          &pull_reply_frame, net_faulty ? &task.net_rng : nullptr);
+      Result<std::string> blob = link.PullModelBlob();
+      if (!blob.ok()) {
+        // The link is down before the client ever saw the model:
+        // charged to the network, not the client.
+        slot.net_lost = true;
+        slot.link = link.stats();
+        return;
       }
+      LIGHTTR_CHECK_OK(client->params().Deserialize(blob.value()));
       slot.loss = strategy->Update(static_cast<int>(client_index), client,
                                    client_optimizers_[client_index].get(),
                                    (*clients_)[client_index],
@@ -562,7 +545,7 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         // The client computed the update but missed the server's round
         // deadline; the server never receives the upload.
         slot.straggler = true;
-        if (use_transport) slot.link = link->stats();
+        slot.link = link.stats();
         return;
       }
 
@@ -579,55 +562,38 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
         // deployment would. Poison() is const — safe from workers.
         slot.poisoned = adversary_->Poison(global_flat, &upload, &task.adv_rng);
       }
-      if (use_transport) {
-        transport::UpdatePush push;
-        push.round = round;
-        push.client_id = static_cast<int>(client_index);
-        push.msg_id =
-            transport::PushMsgId(round, static_cast<int>(client_index));
-        push.train_loss = slot.loss;
-        if (options_.quantize_uploads &&
-            draw.type != FaultType::kCorruption) {
-          push.kind = transport::PayloadKind::kQuantizedInt8;
-          push.quantized = QuantizeFlat(upload);
-        } else {
-          if (options_.quantize_uploads) {
-            // The client still quantizes; the injected fault then
-            // damages the *decoded* scalars, so the frame stays
-            // CRC-valid and screening (not the CRC) catches it —
-            // client-behaviour corruption must keep scoring against
-            // the client, unlike wire damage.
-            upload = DequantizeFlat(QuantizeFlat(upload));
-          }
-          if (draw.type == FaultType::kCorruption) {
-            FaultModel::Corrupt(draw.corruption, &task.fault_rng, &upload);
-          }
-          push.kind = transport::PayloadKind::kRawF64;
-          push.raw = upload;
-        }
-        Result<std::vector<double>> received = link->PushUpdate(push);
-        slot.link = link->stats();
-        if (!received.ok()) {
-          slot.net_lost = true;
-          return;
-        }
-        // Aggregation consumes what the SERVER received (dequantized
-        // server-side when the push was quantized).
-        upload = std::move(received).value();
+      transport::UpdatePush push;
+      push.round = round;
+      push.client_id = static_cast<int>(client_index);
+      push.msg_id = transport::PushMsgId(round, static_cast<int>(client_index));
+      push.train_loss = slot.loss;
+      if (options_.quantize_uploads && draw.type != FaultType::kCorruption) {
+        push.kind = transport::PayloadKind::kQuantizedInt8;
+        push.quantized = QuantizeFlat(upload);
       } else {
         if (options_.quantize_uploads) {
-          const QuantizedBlob blob = QuantizeFlat(upload);
-          slot.uplink_bytes = blob.WireBytes();
-          upload = DequantizeFlat(blob);
-        } else {
-          slot.uplink_bytes = wire_bytes;
+          // The client still quantizes; the injected fault then damages
+          // the *decoded* scalars, so the frame stays CRC-valid and
+          // screening (not the CRC) catches it — client-behaviour
+          // corruption must keep scoring against the client, unlike wire
+          // damage.
+          upload = DequantizeFlat(QuantizeFlat(upload));
         }
         if (draw.type == FaultType::kCorruption) {
-          // Damage happens on the wire, after the client's privacy and
-          // quantization steps and after uplink accounting.
           FaultModel::Corrupt(draw.corruption, &task.fault_rng, &upload);
         }
+        push.kind = transport::PayloadKind::kRawF64;
+        push.raw = upload;
       }
+      Result<std::vector<double>> received = link.PushUpdate(push);
+      slot.link = link.stats();
+      if (!received.ok()) {
+        slot.net_lost = true;
+        return;
+      }
+      // Aggregation consumes what the SERVER received (dequantized
+      // server-side when the push was quantized).
+      upload = std::move(received).value();
 
       const Status screen =
           ScreenUpload(&upload, global_flat, tolerance.screen, &slot.clipped);
@@ -659,25 +625,17 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
     int loss_count = 0;
     for (size_t s = 0; s < slots.size(); ++s) {
       ClientSlot& slot = slots[s];
-      if (use_transport) {
-        // Exact accounting measured from encoded frames: every
-        // transmitted copy counts — retransmissions included.
-        result.comm.bytes_downlink += slot.link.downlink_bytes;
-        result.comm.bytes_uplink += slot.link.uplink_bytes;
-        result.comm.messages +=
-            slot.link.uplink_frames + slot.link.downlink_frames;
-        record.net_retries += slot.link.retries;
-        record.net_timeouts += slot.link.timeouts;
-        record.net_crc_drops += slot.link.crc_drops;
-        record.net_dedup_drops += slot.link.dedup_drops;
-        record.net_late_drops += slot.link.late_drops;
-        faults_.simulated_backoff_s += slot.backoff_s + slot.link.backoff_s;
-      } else {
-        // Legacy estimate: one model-size message per contact attempt.
-        result.comm.bytes_downlink += wire_bytes * slot.attempts;
-        result.comm.messages += slot.attempts;
-        faults_.simulated_backoff_s += slot.backoff_s;
-      }
+      // Exact accounting measured from encoded frames: every transmitted
+      // copy counts — retransmissions included.
+      result.comm.bytes_downlink += slot.link.downlink_bytes;
+      result.comm.bytes_uplink += slot.link.uplink_bytes;
+      result.comm.messages += slot.link.uplink_frames + slot.link.downlink_frames;
+      record.net_retries += slot.link.retries;
+      record.net_timeouts += slot.link.timeouts;
+      record.net_crc_drops += slot.link.crc_drops;
+      record.net_dedup_drops += slot.link.dedup_drops;
+      record.net_late_drops += slot.link.late_drops;
+      faults_.simulated_backoff_s += slot.backoff_s + slot.link.backoff_s;
       record.retries += slot.retries;
       if (!slot.contacted) {
         ++record.drops;
@@ -699,10 +657,6 @@ FederatedRunResult FederatedTrainer::Run(LocalUpdateStrategy* strategy) {
       if (slot.straggler) {
         ++record.stragglers;
         continue;
-      }
-      if (!use_transport) {
-        result.comm.bytes_uplink += slot.uplink_bytes;
-        ++result.comm.messages;
       }
       // Every upload that reached screening is evidence for the
       // reputation ledger — including clean ones, which decay scores.

@@ -114,12 +114,10 @@ struct FederatedTrainerOptions {
   /// Self-healing layer: health verdicts, divergence rollback, client
   /// quarantine (off by default).
   SelfHealingConfig healing;
-  /// Wire-level transport (on by default): model pulls and update
-  /// pushes travel as CRC32-framed messages over a per-client
-  /// SimulatedChannel with idempotent retries, and CommStats is
-  /// measured from the encoded frames. `transport.enabled = false`
-  /// falls back to the legacy in-process handoff with estimated byte
-  /// accounting (kept as the bench baseline).
+  /// Wire-level transport: model pulls and update pushes travel as
+  /// CRC32-framed messages over a per-client SimulatedChannel with
+  /// idempotent retries, and CommStats is measured from the encoded
+  /// frames.
   transport::TransportConfig transport;
   /// Injected model-poisoning adversary (off by default): compromised
   /// clients rewrite their uploads after local training and before

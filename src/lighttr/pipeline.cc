@@ -1,26 +1,30 @@
 #include "lighttr/pipeline.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "fl/comm_stats.h"
 
 namespace lighttr::core {
 
 std::string SummarizeResilience(const fl::FederatedRunResult& run) {
   const fl::FaultStats& faults = run.faults;
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "cohort %.0f%% | drops %lld (retries %lld) | stragglers %lld"
-                " | rejected %lld | clipped %lld | quorum misses %lld",
-                faults.MeanCohortFraction() * 100.0,
-                static_cast<long long>(faults.drops),
-                static_cast<long long>(faults.retries),
-                static_cast<long long>(faults.stragglers),
-                static_cast<long long>(faults.rejected_uploads),
-                static_cast<long long>(faults.clipped_uploads),
-                static_cast<long long>(faults.quorum_misses));
-  return std::string(buffer);
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "cohort %.0f%%",
+                faults.MeanCohortFraction() * 100.0);
+  std::string summary = buffer;
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    const int64_t value = faults.*counter.total;
+    if (value == 0) continue;
+    summary += " | ";
+    summary += counter.name;
+    summary += ' ';
+    summary += std::to_string(value);
+  }
+  return summary;
 }
 
 LightTrPipeline::LightTrPipeline(

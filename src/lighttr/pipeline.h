@@ -36,9 +36,11 @@ struct LightTrResult {
   const fl::FaultStats& faults() const { return federated.faults; }
 };
 
-/// One-line human-readable resilience summary of a federated run, e.g.
-/// "cohort 87% | drops 12 (retries 9) | stragglers 3 | rejected 2 |
-/// quorum misses 0". Benches and examples print this next to accuracy.
+/// One-line human-readable resilience summary of a federated run: the
+/// mean cohort percentage, then every non-zero fl::kFaultCounters
+/// counter under its schema name, e.g. "cohort 87% | drops 12 |
+/// retries 9 | sampled_clients 40 | reporting_clients 35 | net_retries 4".
+/// Benches and examples print this next to accuracy.
 std::string SummarizeResilience(const fl::FederatedRunResult& run);
 
 /// Orchestrates a full LightTR training run over decentralized client

@@ -14,6 +14,7 @@
 #include "fl/aggregation.h"
 #include "fl/fault_injection.h"
 #include "fl/federated_trainer.h"
+#include "fl/transport/wire.h"
 #include "nn/losses.h"
 #include "roadnet/generators.h"
 #include "traj/generator.h"
@@ -397,15 +398,24 @@ TEST(FaultTolerantTrainer, StragglersAreCutOffAtTheDeadline) {
   FederatedTrainerOptions options = BaseOptions(1);
   options.faults.straggler_rate = 1.0;
   options.faults.straggler_slowdown_mean = 1000.0;
-  // Legacy accounting: uplink counts model uploads only. (Under the
-  // framed transport stragglers still send their pull-request frame.)
-  options.transport.enabled = false;
   FederatedTrainer trainer(MakeStub, &clients, options);
   const FederatedRunResult result = trainer.Run();
   EXPECT_EQ(result.faults.stragglers, 3);
   EXPECT_EQ(result.faults.reporting_clients, 0);
-  EXPECT_EQ(result.comm.bytes_uplink, 0);  // cut off before upload
-  EXPECT_GT(result.comm.bytes_downlink, 0);
+  // A straggler pulls the model and trains, but is cut off before its
+  // push: exactly one pull request up and one pull reply down each.
+  using namespace lighttr::fl::transport;  // NOLINT
+  const std::string pull_request_frame = EncodeFrame(
+      FrameType::kModelPullRequest, EncodeModelPullRequest(ModelPullRequest{}));
+  ModelPullReply reply;
+  reply.model_blob = trainer.global_model()->params().Serialize();
+  const std::string pull_reply_frame =
+      EncodeFrame(FrameType::kModelPullReply, EncodeModelPullReply(reply));
+  EXPECT_EQ(result.comm.bytes_uplink,
+            3 * static_cast<int64_t>(pull_request_frame.size()));
+  EXPECT_EQ(result.comm.bytes_downlink,
+            3 * static_cast<int64_t>(pull_reply_frame.size()));
+  EXPECT_EQ(result.comm.messages, 3 * 2);
   EXPECT_EQ(result.faults.quorum_misses, 1);
 }
 

@@ -2,8 +2,12 @@
 // client sampling, communication accounting, and cyclic exchange.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <utility>
 
+#include "fl/aggregation.h"
+#include "fl/compression.h"
 #include "fl/cyclic_trainer.h"
 #include "fl/federated_trainer.h"
 #include "fl/local_trainer.h"
@@ -23,9 +27,12 @@ namespace {
 // with ratio clamp(w).
 class StubModel : public RecoveryModel {
  public:
-  explicit StubModel(Rng* rng) {
-    w_ = nn::Tensor::Variable(
-        nn::Matrix::Full(1, 1, rng != nullptr ? rng->Uniform(-1, 1) : 0.0));
+  explicit StubModel(Rng* rng, size_t width = 1) {
+    nn::Matrix init(1, width);
+    for (size_t j = 0; j < width; ++j) {
+      init(0, j) = rng != nullptr ? rng->Uniform(-1, 1) : 0.0;
+    }
+    w_ = nn::Tensor::Variable(init);
     params_.Register("w", w_);
   }
 
@@ -34,8 +41,9 @@ class StubModel : public RecoveryModel {
 
   ForwardResult Forward(const traj::IncompleteTrajectory& trajectory,
                         bool /*training*/, Rng* /*rng*/) override {
-    nn::Matrix target(1, 1);
-    target(0, 0) = static_cast<nn::Scalar>(trajectory.ground_truth.driver_id);
+    const nn::Matrix target = nn::Matrix::Full(
+        1, w_.value().cols(),
+        static_cast<nn::Scalar>(trajectory.ground_truth.driver_id));
     ForwardResult result;
     result.loss = nn::MseLoss(w_, target);
     result.representation = w_;
@@ -147,92 +155,115 @@ TEST(FederatedTrainer, AggregatesTowardClientMean) {
   EXPECT_NEAR(global->weight(), (0 + 1 + 2 + 3) / 4.0, 0.3);
 }
 
-TEST(FederatedTrainer, CommAccounting) {
-  auto clients = MakeClients(5, 10);
-  FederatedTrainerOptions options;
-  options.rounds = 3;
-  options.local_epochs = 1;
-  options.client_fraction = 0.6;  // -> 3 of 5 clients per round
-  // Legacy estimated accounting (one abstract message each way per
-  // contact); kept as the bench baseline alongside the framed transport.
-  options.transport.enabled = false;
-  FederatedTrainer trainer(
-      [](Rng* rng) { return std::make_unique<StubModel>(rng); }, &clients,
-      options);
-  const FederatedRunResult result = trainer.Run();
-  const int64_t wire = trainer.global_model()->params().WireBytes();
-  EXPECT_EQ(result.comm.rounds, 3);
-  EXPECT_EQ(result.comm.messages, 3 * 3 * 2);
-  EXPECT_EQ(result.comm.bytes_downlink, 3 * 3 * wire);
-  EXPECT_EQ(result.comm.bytes_uplink, 3 * 3 * wire);
-  EXPECT_EQ(result.history.size(), 3u);
-}
-
 TEST(FederatedTrainer, TransportCommAccountingMeasuresEncodedFrames) {
-  // With the framed transport on (the default), comm stats are measured
-  // from the bytes actually put on the wire: four frames per contact
-  // (pull request, pull reply, update push, push ack), sized by the
-  // encoder rather than estimated from WireBytes().
-  auto clients = MakeClients(5, 10);
-  FederatedTrainerOptions options;
-  options.rounds = 3;
-  options.local_epochs = 1;
-  options.client_fraction = 0.6;  // -> 3 of 5 clients per round
-  FederatedTrainer trainer(
-      [](Rng* rng) { return std::make_unique<StubModel>(rng); }, &clients,
-      options);
-  const FederatedRunResult result = trainer.Run();
-
-  const int64_t contacts = 3 * 3;
-  using namespace lighttr::fl::transport;  // NOLINT
-  ModelPullRequest req;
-  const auto pull_request_frame =
-      EncodeFrame(FrameType::kModelPullRequest, EncodeModelPullRequest(req));
-  ModelPullReply reply;
-  reply.model_blob = trainer.global_model()->params().Serialize();
-  const auto pull_reply_frame =
-      EncodeFrame(FrameType::kModelPullReply, EncodeModelPullReply(reply));
-  UpdatePush push;
-  push.kind = PayloadKind::kRawF64;
-  push.raw.assign(
-      static_cast<size_t>(trainer.global_model()->params().NumScalars()), 0.0);
-  const auto push_frame =
-      EncodeFrame(FrameType::kUpdatePush, EncodeUpdatePush(push));
-  PushAck ack;
-  const auto ack_frame = EncodeFrame(FrameType::kPushAck, EncodePushAck(ack));
-
-  EXPECT_EQ(result.comm.rounds, 3);
-  EXPECT_EQ(result.comm.messages, contacts * 4);
-  EXPECT_EQ(result.comm.bytes_uplink,
-            contacts * static_cast<int64_t>(pull_request_frame.size() +
-                                            push_frame.size()));
-  EXPECT_EQ(result.comm.bytes_downlink,
-            contacts * static_cast<int64_t>(pull_reply_frame.size() +
-                                            ack_frame.size()));
-  // A clean channel produces no network-layer incidents.
-  EXPECT_EQ(result.faults.net_retries, 0);
-  EXPECT_EQ(result.faults.net_timeouts, 0);
-  EXPECT_EQ(result.faults.net_crc_drops, 0);
-  EXPECT_EQ(result.faults.net_dedup_drops, 0);
-  EXPECT_EQ(result.faults.net_lost, 0);
-}
-
-TEST(FederatedTrainer, TransportMatchesLegacyModelTrajectory) {
-  // The transport is a faithful pipe: on a clean channel the recovered
-  // global model is bitwise identical to the legacy in-process path.
-  auto run = [](bool enabled) {
-    auto clients = MakeClients(4, 21);
+  // Comm stats are measured from the bytes actually put on the wire:
+  // four frames per contact (pull request, pull reply, update push, push
+  // ack), sized by the encoder rather than estimated from WireBytes().
+  // Fractions of 5 clients: 0.2 -> 1, 0.6 -> 3, 1.0 -> 5 per round.
+  for (const auto& [fraction, per_round] :
+       {std::pair<double, int64_t>{0.2, 1}, {0.6, 3}, {1.0, 5}}) {
+    SCOPED_TRACE(fraction);
+    auto clients = MakeClients(5, 10);
     FederatedTrainerOptions options;
-    options.rounds = 4;
+    options.rounds = 3;
     options.local_epochs = 1;
-    options.transport.enabled = enabled;
+    options.client_fraction = fraction;
     FederatedTrainer trainer(
         [](Rng* rng) { return std::make_unique<StubModel>(rng); }, &clients,
         options);
-    trainer.Run();
-    return trainer.global_model()->params().Serialize();
-  };
-  EXPECT_EQ(run(true), run(false));
+    const FederatedRunResult result = trainer.Run();
+
+    const int64_t contacts = 3 * per_round;
+    using namespace lighttr::fl::transport;  // NOLINT
+    ModelPullRequest req;
+    const auto pull_request_frame =
+        EncodeFrame(FrameType::kModelPullRequest, EncodeModelPullRequest(req));
+    ModelPullReply reply;
+    reply.model_blob = trainer.global_model()->params().Serialize();
+    const auto pull_reply_frame =
+        EncodeFrame(FrameType::kModelPullReply, EncodeModelPullReply(reply));
+    UpdatePush push;
+    push.kind = PayloadKind::kRawF64;
+    push.raw.assign(
+        static_cast<size_t>(trainer.global_model()->params().NumScalars()),
+        0.0);
+    const auto push_frame =
+        EncodeFrame(FrameType::kUpdatePush, EncodeUpdatePush(push));
+    PushAck ack;
+    const auto ack_frame = EncodeFrame(FrameType::kPushAck, EncodePushAck(ack));
+
+    EXPECT_EQ(result.comm.rounds, 3);
+    EXPECT_EQ(result.history.size(), 3u);
+    EXPECT_EQ(result.comm.messages, contacts * 4);
+    EXPECT_EQ(result.comm.bytes_uplink,
+              contacts * static_cast<int64_t>(pull_request_frame.size() +
+                                              push_frame.size()));
+    EXPECT_EQ(result.comm.bytes_downlink,
+              contacts * static_cast<int64_t>(pull_reply_frame.size() +
+                                              ack_frame.size()));
+    // A clean channel produces no network-layer incidents.
+    EXPECT_EQ(result.faults.net_retries, 0);
+    EXPECT_EQ(result.faults.net_timeouts, 0);
+    EXPECT_EQ(result.faults.net_crc_drops, 0);
+    EXPECT_EQ(result.faults.net_dedup_drops, 0);
+    EXPECT_EQ(result.faults.net_lost, 0);
+  }
+}
+
+// Runs the plain local update, then records what the client is about to
+// upload. Calls arrive in selection order when the trainer runs serially.
+class RecordingUpdate : public LocalUpdateStrategy {
+ public:
+  double Update(int client_index, RecoveryModel* model,
+                nn::Optimizer* optimizer, const traj::ClientDataset& data,
+                int epochs, Rng* rng) override {
+    const double loss =
+        plain_.Update(client_index, model, optimizer, data, epochs, rng);
+    uploads.push_back(model->params().Flatten());
+    return loss;
+  }
+
+  std::vector<std::vector<nn::Scalar>> uploads;
+
+ private:
+  PlainLocalUpdate plain_;
+};
+
+TEST(FederatedTrainer, TransportIsAFaithfulPipe) {
+  // On a clean channel the wire changes nothing: the new global model is
+  // bitwise the aggregate of what the clients uploaded (after the int8
+  // round trip when uploads are quantized).
+  for (const bool quantize : {false, true}) {
+    SCOPED_TRACE(quantize ? "int8 uploads" : "raw f64 uploads");
+    auto clients = MakeClients(4, 21);
+    FederatedTrainerOptions options;
+    options.rounds = 1;
+    options.local_epochs = 1;
+    options.threads = 1;
+    options.quantize_uploads = quantize;
+    options.tolerance.aggregator.policy = AggregatorPolicy::kMean;
+    FederatedTrainer trainer(
+        [](Rng* rng) { return std::make_unique<StubModel>(rng, /*width=*/16); },
+        &clients, options);
+    RecordingUpdate recorder;
+    const FederatedRunResult result = trainer.Run(&recorder);
+    EXPECT_EQ(result.faults.net_lost, 0);
+    ASSERT_EQ(recorder.uploads.size(), clients.size());
+
+    std::vector<std::vector<nn::Scalar>> expected = recorder.uploads;
+    if (quantize) {
+      for (auto& upload : expected) upload = DequantizeFlat(QuantizeFlat(upload));
+    }
+    const Result<std::vector<nn::Scalar>> aggregate =
+        AggregateFlat(expected, options.tolerance.aggregator);
+    ASSERT_TRUE(aggregate.ok());
+    const std::vector<nn::Scalar> global =
+        trainer.global_model()->params().Flatten();
+    ASSERT_EQ(global.size(), aggregate.value().size());
+    EXPECT_EQ(std::memcmp(global.data(), aggregate.value().data(),
+                          global.size() * sizeof(nn::Scalar)),
+              0);
+  }
 }
 
 TEST(FederatedTrainer, FractionOneUsesAllClients) {
@@ -269,32 +300,9 @@ TEST(FederatedTrainer, FaultFreeRunHasCleanTelemetry) {
   }
 }
 
-TEST(FederatedTrainer, DropoutAccountingCountsEveryContactAttempt) {
-  auto clients = MakeClients(2, 14);
-  FederatedTrainerOptions options;
-  options.rounds = 1;
-  options.local_epochs = 1;
-  options.faults.dropout_rate = 1.0;
-  options.tolerance.retry.max_retries = 2;
-  // Legacy estimated accounting: the model broadcast is charged per
-  // contact attempt even though the client never answers.
-  options.transport.enabled = false;
-  FederatedTrainer trainer(
-      [](Rng* rng) { return std::make_unique<StubModel>(rng); }, &clients,
-      options);
-  const FederatedRunResult result = trainer.Run();
-  const int64_t wire = trainer.global_model()->params().WireBytes();
-  // Each client: initial contact + 2 retries, all downlink, no upload.
-  EXPECT_EQ(result.comm.messages, 2 * 3);
-  EXPECT_EQ(result.comm.bytes_downlink, 2 * 3 * wire);
-  EXPECT_EQ(result.comm.bytes_uplink, 0);
-  EXPECT_EQ(result.faults.drops, 2);
-  EXPECT_EQ(result.faults.retries, 2 * 2);
-}
-
 TEST(FederatedTrainer, DroppedOutClientsPutNoFramesOnTheWire) {
-  // Under the framed transport a dropped-out client never initiates its
-  // pull, so — unlike the legacy estimate — nothing crosses the wire.
+  // A dropped-out client never initiates its pull, so nothing crosses
+  // the wire — however many contact attempts the retry budget spends.
   auto clients = MakeClients(2, 14);
   FederatedTrainerOptions options;
   options.rounds = 1;

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "fl/comm_stats.h"
 #include "fl/local_trainer.h"
 #include "lighttr/lte_model.h"
 #include "lighttr/meta_local_update.h"
@@ -121,6 +123,34 @@ TEST_F(LightTrTest, MuZeroDropsRatioLoss) {
   const fl::ForwardResult result =
       model.Forward(clients_[0].train[0], false, nullptr);
   EXPECT_TRUE(std::isfinite(result.loss.ScalarValue()));
+}
+
+TEST(SummarizeResilience, NamesEveryNonZeroCounterBySchemaName) {
+  // Every counter of the shared schema, at a distinct value, except one
+  // left at zero: the summary names each non-zero one and omits it.
+  fl::FederatedRunResult run;
+  int64_t value = 100;
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    run.faults.*counter.total = value++;
+  }
+  run.faults.net_lost = 0;
+  run.faults.sampled_clients = 40;
+  run.faults.reporting_clients = 30;
+  const std::string summary = SummarizeResilience(run);
+  EXPECT_EQ(summary.rfind("cohort 75% | ", 0), 0u) << summary;
+  for (const fl::FaultCounter& counter : fl::kFaultCounters) {
+    const int64_t count = run.faults.*counter.total;
+    const std::string entry =
+        " | " + std::string(counter.name) + " " + std::to_string(count);
+    if (count != 0) {
+      EXPECT_NE(summary.find(entry), std::string::npos) << entry;
+    } else {
+      EXPECT_EQ(summary.find(std::string(" | ") + counter.name + " "),
+                std::string::npos)
+          << counter.name;
+    }
+  }
+  EXPECT_EQ(SummarizeResilience(fl::FederatedRunResult{}), "cohort 100%");
 }
 
 TEST(DynamicLambda, MatchesEq18) {
