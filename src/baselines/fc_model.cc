@@ -26,10 +26,10 @@ FcModel::FcModel(const traj::TrajectoryEncoder* encoder,
 }
 
 nn::Tensor FcModel::HiddenForMissing(
-    const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng,
-    std::vector<size_t>* missing) const {
+    const traj::IncompleteTrajectory& trajectory, const nn::Matrix& inputs,
+    bool training, Rng* rng, std::vector<size_t>* missing) const {
   *missing = trajectory.MissingIndices();
-  nn::Tensor x = nn::Tensor::Constant(encoder_->EncodeInputs(trajectory));
+  nn::Tensor x = nn::Tensor::Constant(inputs);
   for (const auto& layer : layers_) {
     x = nn::Relu(layer->Forward(x));
     x = nn::Dropout(x, config_.dropout, training, rng);
@@ -45,13 +45,15 @@ nn::Tensor FcModel::HiddenForMissing(
 fl::ForwardResult FcModel::Forward(
     const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng) {
   fl::ForwardResult result;
+  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
   std::vector<size_t> missing;
-  nn::Tensor hidden = HiddenForMissing(trajectory, training, rng, &missing);
+  nn::Tensor hidden =
+      HiddenForMissing(trajectory, encoded.inputs, training, rng, &missing);
   if (!hidden.defined()) {
     result.loss = nn::Tensor::Constant(nn::Matrix::Zeros(1, 1));
     return result;
   }
-  const auto targets = encoder_->EncodeTargets(trajectory);
+  const std::vector<traj::StepTarget>& targets = encoded.targets;
 
   // Candidate-restricted decoding without the constraint-mask weights:
   // the baseline consumes map-matched data (spatial candidates) but has
@@ -60,8 +62,7 @@ fl::ForwardResult FcModel::Forward(
   nn::Matrix ratio_target(missing.size(), 1);
   for (size_t i = 0; i < missing.size(); ++i) {
     ratio_target(i, 0) = static_cast<nn::Scalar>(targets[missing[i]].ratio);
-    const traj::StepCandidates candidates =
-        encoder_->CandidatesForStep(trajectory, missing[i]);
+    const traj::StepCandidates& candidates = encoded.candidates[missing[i]];
     if (!candidates.target_in_range) continue;
     const nn::Tensor logits =
         nn::CandidateLogits(nn::SliceRows(hidden, i, 1), seg_head_->weight(),
@@ -91,14 +92,14 @@ std::vector<roadnet::PointPosition> FcModel::Recover(
   for (size_t t = 0; t < trajectory.size(); ++t) {
     positions[t] = trajectory.ground_truth.points[t].position;
   }
+  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
   std::vector<size_t> missing;
-  nn::Tensor hidden = HiddenForMissing(trajectory, /*training=*/false,
-                                       nullptr, &missing);
+  nn::Tensor hidden = HiddenForMissing(trajectory, encoded.inputs,
+                                       /*training=*/false, nullptr, &missing);
   if (!hidden.defined()) return positions;
   const nn::Tensor ratio = nn::Sigmoid(ratio_head_->Forward(hidden));
   for (size_t i = 0; i < missing.size(); ++i) {
-    const traj::StepCandidates candidates =
-        encoder_->CandidatesForStep(trajectory, missing[i]);
+    const traj::StepCandidates& candidates = encoded.candidates[missing[i]];
     const nn::Tensor logits =
         nn::CandidateLogits(nn::SliceRows(hidden, i, 1), seg_head_->weight(),
                             seg_head_->bias(), candidates.segments);

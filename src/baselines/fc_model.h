@@ -38,10 +38,11 @@ class FcModel : public fl::RecoveryModel {
       const traj::IncompleteTrajectory& trajectory) override;
 
  private:
-  /// Hidden activations of the missing steps, [M, hidden], plus the
-  /// missing step indices.
+  /// Hidden activations of the missing steps, [M, hidden], computed
+  /// from the encoded `inputs`, plus the missing step indices.
   nn::Tensor HiddenForMissing(const traj::IncompleteTrajectory& trajectory,
-                              bool training, Rng* rng,
+                              const nn::Matrix& inputs, bool training,
+                              Rng* rng,
                               std::vector<size_t>* missing) const;
 
   std::string name_ = "FC+FL";

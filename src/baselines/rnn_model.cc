@@ -27,11 +27,10 @@ RnnModel::RnnModel(const traj::TrajectoryEncoder* encoder,
 }
 
 nn::Tensor RnnModel::HiddenForMissing(
-    const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng,
-    std::vector<size_t>* missing) const {
+    const traj::IncompleteTrajectory& trajectory, const nn::Matrix& inputs,
+    bool training, Rng* rng, std::vector<size_t>* missing) const {
   *missing = trajectory.MissingIndices();
-  const nn::Tensor x_all =
-      nn::Tensor::Constant(encoder_->EncodeInputs(trajectory));
+  const nn::Tensor x_all = nn::Tensor::Constant(inputs);
   const size_t steps = trajectory.size();
 
   // Layer-by-layer unroll.
@@ -57,21 +56,22 @@ nn::Tensor RnnModel::HiddenForMissing(
 fl::ForwardResult RnnModel::Forward(
     const traj::IncompleteTrajectory& trajectory, bool training, Rng* rng) {
   fl::ForwardResult result;
+  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
   std::vector<size_t> missing;
-  nn::Tensor hidden = HiddenForMissing(trajectory, training, rng, &missing);
+  nn::Tensor hidden =
+      HiddenForMissing(trajectory, encoded.inputs, training, rng, &missing);
   if (!hidden.defined()) {
     result.loss = nn::Tensor::Constant(nn::Matrix::Zeros(1, 1));
     return result;
   }
-  const auto targets = encoder_->EncodeTargets(trajectory);
+  const std::vector<traj::StepTarget>& targets = encoded.targets;
   // Candidate-restricted decoding without constraint-mask weights (the
   // recurrent state is the only advantage over FC+FL).
   std::vector<nn::Tensor> ce_losses;
   nn::Matrix ratio_target(missing.size(), 1);
   for (size_t i = 0; i < missing.size(); ++i) {
     ratio_target(i, 0) = static_cast<nn::Scalar>(targets[missing[i]].ratio);
-    const traj::StepCandidates candidates =
-        encoder_->CandidatesForStep(trajectory, missing[i]);
+    const traj::StepCandidates& candidates = encoded.candidates[missing[i]];
     if (!candidates.target_in_range) continue;
     const nn::Tensor logits =
         nn::CandidateLogits(nn::SliceRows(hidden, i, 1), seg_head_->weight(),
@@ -102,14 +102,14 @@ std::vector<roadnet::PointPosition> RnnModel::Recover(
   for (size_t t = 0; t < trajectory.size(); ++t) {
     positions[t] = trajectory.ground_truth.points[t].position;
   }
+  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
   std::vector<size_t> missing;
-  nn::Tensor hidden = HiddenForMissing(trajectory, /*training=*/false,
-                                       nullptr, &missing);
+  nn::Tensor hidden = HiddenForMissing(trajectory, encoded.inputs,
+                                       /*training=*/false, nullptr, &missing);
   if (!hidden.defined()) return positions;
   const nn::Tensor ratio = nn::Sigmoid(ratio_head_->Forward(hidden));
   for (size_t i = 0; i < missing.size(); ++i) {
-    const traj::StepCandidates candidates =
-        encoder_->CandidatesForStep(trajectory, missing[i]);
+    const traj::StepCandidates& candidates = encoded.candidates[missing[i]];
     const nn::Tensor logits =
         nn::CandidateLogits(nn::SliceRows(hidden, i, 1), seg_head_->weight(),
                             seg_head_->bias(), candidates.segments);

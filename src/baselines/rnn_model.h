@@ -40,7 +40,8 @@ class RnnModel : public fl::RecoveryModel {
 
  private:
   nn::Tensor HiddenForMissing(const traj::IncompleteTrajectory& trajectory,
-                              bool training, Rng* rng,
+                              const nn::Matrix& inputs, bool training,
+                              Rng* rng,
                               std::vector<size_t>* missing) const;
 
   std::string name_ = "RNN+FL";

@@ -77,10 +77,10 @@ fl::ForwardResult RnTrajRecModel::RunSequence(
     const traj::IncompleteTrajectory& trajectory, bool training,
     bool teacher_forcing, Rng* rng,
     std::vector<roadnet::PointPosition>* collect) {
-  const nn::Matrix inputs = encoder_->EncodeInputs(trajectory);
-  const auto targets = encoder_->EncodeTargets(trajectory);
+  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
+  const std::vector<traj::StepTarget>& targets = encoded.targets;
   const size_t steps = trajectory.size();
-  const nn::Tensor x_all = nn::Tensor::Constant(inputs);
+  const nn::Tensor x_all = nn::Tensor::Constant(encoded.inputs);
 
   // GRU encoding of the full sequence followed by one self-attention
   // block with a feed-forward projection (spatial-temporal transformer
@@ -127,8 +127,7 @@ fl::ForwardResult RnTrajRecModel::RunSequence(
       continue;
     }
 
-    const traj::StepCandidates candidates =
-        encoder_->CandidatesForStep(trajectory, t);
+    const traj::StepCandidates& candidates = encoded.candidates[t];
     const MtHeadStep step = head_->Run(
         state, candidates, teacher_forcing ? targets[t].segment : -1);
     if (step.ce_loss.defined()) ce_losses.push_back(step.ce_loss);

@@ -52,11 +52,15 @@ class BinaryWriter {
 /// bounds-checked and failure leaves the cursor unmoved.
 class BinaryReader {
  public:
-  explicit BinaryReader(const std::string& data) : data_(&data) {}
+  explicit BinaryReader(const std::string& data)
+      : BinaryReader(data.data(), data.size()) {}
+  /// Reads the first `size` bytes at `data` (a prefix of a larger
+  /// buffer, without copying it).
+  BinaryReader(const char* data, size_t size) : data_(data), size_(size) {}
 
   size_t offset() const { return offset_; }
-  size_t remaining() const { return data_->size() - offset_; }
-  bool AtEnd() const { return offset_ == data_->size(); }
+  size_t remaining() const { return size_ - offset_; }
+  bool AtEnd() const { return offset_ == size_; }
 
   [[nodiscard]] Status ReadU8(uint8_t* out) { return ReadRaw(out, sizeof(*out)); }
   [[nodiscard]] Status ReadU32(uint32_t* out) {
@@ -96,7 +100,7 @@ class BinaryReader {
                                      std::to_string(remaining()) +
                                      " bytes remain");
     }
-    out->assign(data_->data() + offset_, static_cast<size_t>(len));
+    out->assign(data_ + offset_, static_cast<size_t>(len));
     offset_ += static_cast<size_t>(len);
     return Status::Ok();
   }
@@ -112,12 +116,13 @@ class BinaryReader {
           "truncated buffer: need " + std::to_string(n) + " bytes at offset " +
           std::to_string(offset_) + ", have " + std::to_string(remaining()));
     }
-    std::memcpy(out, data_->data() + offset_, n);
+    std::memcpy(out, data_ + offset_, n);
     offset_ += n;
     return Status::Ok();
   }
 
-  const std::string* data_;
+  const char* data_;
+  size_t size_;
   size_t offset_ = 0;
 };
 

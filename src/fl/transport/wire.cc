@@ -48,8 +48,7 @@ Status DecodeFrame(const std::string& bytes, Frame* out) {
   // bytes survived the wire intact.
   size_t body_len = 0;
   LIGHTTR_RETURN_NOT_OK(CheckCrc32Trailer(bytes, &body_len));
-  const std::string body = bytes.substr(0, body_len);
-  BinaryReader reader(body);
+  BinaryReader reader(bytes.data(), body_len);
   char magic[4];
   LIGHTTR_RETURN_NOT_OK(reader.ReadBytes(magic, sizeof(magic)));
   for (size_t i = 0; i < sizeof(kMagic); ++i) {
@@ -77,7 +76,7 @@ Status DecodeFrame(const std::string& bytes, Frame* out) {
         " payload bytes, " + std::to_string(reader.remaining()) + " present");
   }
   out->type = static_cast<FrameType>(type);
-  out->payload.assign(body.data() + reader.offset(), payload_len);
+  out->payload.assign(bytes.data() + reader.offset(), payload_len);
   return Status::Ok();
 }
 
@@ -135,7 +134,10 @@ std::string EncodeUpdatePush(const UpdatePush& msg) {
   writer.WriteU8(static_cast<uint8_t>(msg.kind));
   if (msg.kind == PayloadKind::kRawF64) {
     writer.WriteU64(static_cast<uint64_t>(msg.raw.size()));
-    for (const double v : msg.raw) writer.WriteF64(v);
+    // One bulk write: the same host-order bytes as a WriteF64 per scalar.
+    if (!msg.raw.empty()) {
+      writer.WriteBytes(msg.raw.data(), msg.raw.size() * sizeof(double));
+    }
   } else {
     writer.WriteF64(msg.quantized.min_value);
     writer.WriteF64(msg.quantized.max_value);
@@ -176,11 +178,10 @@ Status DecodeUpdatePush(const std::string& payload, UpdatePush* out) {
           "update-push claims " + std::to_string(count) + " scalars, " +
           std::to_string(reader.remaining()) + " payload bytes remain");
     }
-    out->raw.reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      double v = 0.0;
-      LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&v));
-      out->raw.push_back(v);
+    out->raw.resize(static_cast<size_t>(count));
+    if (count > 0) {
+      LIGHTTR_RETURN_NOT_OK(reader.ReadBytes(
+          out->raw.data(), static_cast<size_t>(count) * sizeof(double)));
     }
   } else {
     LIGHTTR_RETURN_NOT_OK(reader.ReadF64(&out->quantized.min_value));

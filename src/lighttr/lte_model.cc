@@ -54,11 +54,10 @@ fl::ForwardResult LteModel::RunSequence(
     const traj::IncompleteTrajectory& trajectory, bool training,
     bool teacher_forcing, Rng* rng,
     std::vector<roadnet::PointPosition>* collect) {
-  const nn::Matrix inputs = encoder_->EncodeInputs(trajectory);
-  const std::vector<traj::StepTarget> targets =
-      encoder_->EncodeTargets(trajectory);
+  const traj::EncodedTrajectory encoded = encoder_->Encode(trajectory);
+  const std::vector<traj::StepTarget>& targets = encoded.targets;
   const size_t steps = trajectory.size();
-  const nn::Tensor x_all = nn::Tensor::Constant(inputs);
+  const nn::Tensor x_all = nn::Tensor::Constant(encoded.inputs);
 
   // Embedding model (Eq. 5/6): one GRU layer over the whole sequence.
   std::vector<nn::Tensor> embedded;
@@ -109,8 +108,7 @@ fl::ForwardResult LteModel::RunSequence(
 
     // Constraint mask layer (Eq. 10/11): candidate-restricted logits
     // with additive log-mask.
-    const traj::StepCandidates candidates =
-        encoder_->CandidatesForStep(trajectory, t);
+    const traj::StepCandidates& candidates = encoded.candidates[t];
     const nn::Tensor h_d = head_dense_->Forward(h_prime);
     const nn::Tensor logits =
         nn::CandidateLogits(h_d, seg_w_, seg_b_, candidates.segments);

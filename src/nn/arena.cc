@@ -90,6 +90,11 @@ class Arena {
       return;
     }
     const size_t c = ClassIndex(std::max(elements, kMinElements));
+    if (stats_.cached_bytes + static_cast<int64_t>(ClassBytes(c)) >
+        kArenaMaxCachedBytes) {
+      HeapRelease(block);
+      return;
+    }
     freelists_[c].push_back(block);
     ++stats_.cached_blocks;
     stats_.cached_bytes += static_cast<int64_t>(ClassBytes(c));

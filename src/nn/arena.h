@@ -21,7 +21,11 @@
 // thread than it was acquired on simply joins the releasing thread's
 // pool (long-lived model state built on the coordinator but retired on
 // a pool worker stays safe — only the per-thread stats attribution
-// shifts).
+// shifts). Each thread caches at most kArenaMaxCachedBytes; a release
+// beyond that goes back to the heap. Without the cap a thread that
+// mostly releases what other threads acquired (a coordinator retiring
+// a finished pool's replicas and optimizer states) would park every
+// such block for the process lifetime.
 #ifndef LIGHTTR_NN_ARENA_H_
 #define LIGHTTR_NN_ARENA_H_
 
@@ -35,6 +39,10 @@ namespace lighttr::nn {
 /// float on scalar CPU code. (Lives here, below matrix.h, so the arena
 /// can size blocks in elements.)
 using Scalar = double;
+
+/// Bytes one thread's arena may park in its freelists (see above). A
+/// fixed bound far above one training thread's steady-state working set.
+inline constexpr int64_t kArenaMaxCachedBytes = int64_t{32} << 20;
 
 /// Lifetime counters of one thread's arena. Deltas across a workload
 /// are the allocation-churn metric: a steady-state training round must

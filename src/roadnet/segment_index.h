@@ -13,7 +13,8 @@ namespace lighttr::roadnet {
 
 /// Buckets segments into a uniform grid; Nearby() returns segments whose
 /// geometry passes within `radius_m` of a query point, in ascending
-/// projection-distance order.
+/// projection-distance order. Queries are const and thread-safe: the
+/// de-duplication scratch is per thread.
 class SegmentIndex {
  public:
   /// Builds the index; `cell_meters` trades memory for probe count.
@@ -25,15 +26,26 @@ class SegmentIndex {
     Projection projection;
   };
 
-  /// All segments within `radius_m` of `p`, nearest first.
+  /// All segments within `radius_m` of `p`, nearest first (ties keep
+  /// the order of the first visit over the probed cells).
   std::vector<Candidate> Nearby(const geo::GeoPoint& p, double radius_m) const;
 
   const RoadNetwork& network() const { return network_; }
 
  private:
+  // A segment's bounding box in the local plane of its `from` vertex —
+  // the plane ProjectOntoSegment measures in — for a trig-free lower
+  // bound on the projection distance.
+  struct PlaneBox {
+    geo::GeoPoint origin;  // the `from` vertex
+    double cos_lat = 1.0;  // LocalProjection's scale at the origin
+    double x_lo = 0.0, x_hi = 0.0, y_lo = 0.0, y_hi = 0.0;
+  };
+
   const RoadNetwork& network_;
   geo::GridSpec grid_;
   std::vector<std::vector<SegmentId>> buckets_;
+  std::vector<PlaneBox> boxes_;  // per segment
 };
 
 }  // namespace lighttr::roadnet

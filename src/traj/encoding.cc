@@ -3,8 +3,8 @@
 #include "roadnet/shortest_path.h"
 
 #include <algorithm>
-#include <optional>
 #include <cmath>
+#include <optional>
 
 namespace lighttr::traj {
 
@@ -23,19 +23,212 @@ struct AnchorSpan {
   double alpha = 0.0;  // fractional position of t within [prev, next]
 };
 
+double AlphaOf(size_t t, size_t prev, size_t next) {
+  return (next > prev)
+             ? static_cast<double>(t - prev) / static_cast<double>(next - prev)
+             : 0.0;
+}
+
 AnchorSpan FindAnchors(const IncompleteTrajectory& trajectory, size_t t) {
-  AnchorSpan span;
   size_t prev = t;
   while (prev > 0 && !trajectory.observed[prev]) --prev;
   size_t next = t;
   const size_t n = trajectory.observed.size();
   while (next + 1 < n && !trajectory.observed[next]) ++next;
-  span.prev = prev;
-  span.next = next;
-  span.alpha = (next > prev)
-                   ? static_cast<double>(t - prev) / static_cast<double>(next - prev)
-                   : 0.0;
-  return span;
+  return AnchorSpan{prev, next, AlphaOf(t, prev, next)};
+}
+
+// A route piece: (segment, from_ratio, to_ratio), in travel order.
+struct Piece {
+  roadnet::SegmentId segment;
+  double from_ratio;
+  double to_ratio;
+};
+
+// The shortest road route between the two anchors of a gap. Every step
+// of the gap interpolates along this one route, so it is searched once
+// per gap, not once per step.
+struct GapRoute {
+  size_t prev = 0;
+  size_t next = 0;
+  roadnet::PointPosition a;   // the anchors' network positions
+  roadnet::PointPosition b;
+  geo::GeoPoint a_point;      // ... and their points
+  geo::GeoPoint b_point;
+  std::vector<Piece> pieces;  // empty when no directed route exists
+  double total = 0.0;         // route length in meters
+};
+
+GapRoute RouteGap(const roadnet::RoadNetwork& network,
+                  const IncompleteTrajectory& trajectory, size_t prev,
+                  size_t next) {
+  GapRoute gap;
+  gap.prev = prev;
+  gap.next = next;
+  gap.a = trajectory.ground_truth.points[prev].position;
+  gap.b = trajectory.ground_truth.points[next].position;
+  gap.a_point = network.PositionToPoint(gap.a);
+  gap.b_point = network.PositionToPoint(gap.b);
+  if (gap.a.segment == gap.b.segment && gap.b.ratio >= gap.a.ratio) {
+    gap.pieces.push_back({gap.a.segment, gap.a.ratio, gap.b.ratio});
+  } else {
+    const roadnet::Segment& sa = network.segment(gap.a.segment);
+    const roadnet::Segment& sb = network.segment(gap.b.segment);
+    auto route = roadnet::VertexRoute(network, sa.to, sb.from);
+    if (!route.ok()) return gap;
+    gap.pieces.push_back({gap.a.segment, gap.a.ratio, 1.0});
+    for (roadnet::SegmentId e : route.value()) {
+      gap.pieces.push_back({e, 0.0, 1.0});
+    }
+    gap.pieces.push_back({gap.b.segment, 0.0, gap.b.ratio});
+  }
+  for (const Piece& piece : gap.pieces) {
+    gap.total += (piece.to_ratio - piece.from_ratio) *
+                 network.segment(piece.segment).length_m;
+  }
+  return gap;
+}
+
+// Constant-speed position along the gap's route at fraction alpha, or
+// nullopt when no route exists. A strict comparison maps piece
+// boundaries to the *next* segment's start — matching the generator's
+// representation of boundary points.
+std::optional<roadnet::PointPosition> RoutePosition(
+    const roadnet::RoadNetwork& network, const GapRoute& gap, double alpha) {
+  if (gap.pieces.empty()) return std::nullopt;
+  if (gap.total <= 0.0) return gap.a;
+  double remaining = alpha * gap.total;
+  for (const Piece& piece : gap.pieces) {
+    const double len = (piece.to_ratio - piece.from_ratio) *
+                       network.segment(piece.segment).length_m;
+    if (remaining + 1e-6 < len || &piece == &gap.pieces.back()) {
+      const double seg_len = network.segment(piece.segment).length_m;
+      const double ratio =
+          piece.from_ratio + (seg_len > 0.0 ? remaining / seg_len : 0.0);
+      return roadnet::PointPosition{
+          piece.segment,
+          std::clamp(ratio, piece.from_ratio, piece.to_ratio)};
+    }
+    remaining -= len;
+  }
+  return gap.b;  // unreachable, but keeps the compiler satisfied
+}
+
+// What the encoder knows about one step before it looks at the map.
+struct StepEstimate {
+  AnchorSpan span;
+  /// The route-interpolated network position (the truth when observed);
+  /// nullopt on the linear fallback.
+  std::optional<roadnet::PointPosition> position;
+  geo::GeoPoint point;       // the anchor-interpolated estimate
+  geo::GeoPoint prev_point;  // points of the surrounding anchors
+  geo::GeoPoint next_point;
+};
+
+StepEstimate ObservedEstimate(const roadnet::RoadNetwork& network,
+                              const IncompleteTrajectory& trajectory,
+                              size_t t) {
+  const roadnet::PointPosition& truth =
+      trajectory.ground_truth.points[t].position;
+  const geo::GeoPoint point = network.PositionToPoint(truth);
+  return StepEstimate{AnchorSpan{t, t, 0.0}, truth, point, point, point};
+}
+
+// Estimate of missing step t inside `gap`; falls back to linear lat/lng
+// interpolation when no directed route connects the anchors.
+StepEstimate GapEstimate(const roadnet::RoadNetwork& network,
+                         const GapRoute& gap, size_t t) {
+  StepEstimate e;
+  e.span = AnchorSpan{gap.prev, gap.next, AlphaOf(t, gap.prev, gap.next)};
+  e.position = RoutePosition(network, gap, e.span.alpha);
+  e.point = e.position.has_value()
+                ? network.PositionToPoint(*e.position)
+                : geo::Lerp(gap.a_point, gap.b_point, e.span.alpha);
+  e.prev_point = gap.a_point;
+  e.next_point = gap.b_point;
+  return e;
+}
+
+// Estimate of any step of `gap` (observed steps are their own anchors).
+StepEstimate EstimateInGap(const roadnet::RoadNetwork& network,
+                           const IncompleteTrajectory& trajectory,
+                           const GapRoute& gap, size_t t) {
+  return trajectory.observed[t] ? ObservedEstimate(network, trajectory, t)
+                                : GapEstimate(network, gap, t);
+}
+
+StepEstimate EstimateOf(const roadnet::RoadNetwork& network,
+                        const IncompleteTrajectory& trajectory, size_t t) {
+  if (trajectory.observed[t]) return ObservedEstimate(network, trajectory, t);
+  const AnchorSpan span = FindAnchors(trajectory, t);
+  return GapEstimate(network, RouteGap(network, trajectory, span.prev, span.next),
+                     t);
+}
+
+// Every step's estimate in one sweep, each gap routed once: the missing
+// steps of a gap are consecutive, so they reuse the last route.
+std::vector<StepEstimate> EstimateAll(const roadnet::RoadNetwork& network,
+                                      const IncompleteTrajectory& trajectory) {
+  const size_t n = trajectory.size();
+  LIGHTTR_CHECK_GE(n, 2u);
+  LIGHTTR_CHECK_EQ(trajectory.observed.size(), n);
+  std::vector<StepEstimate> estimates;
+  estimates.reserve(n);
+  std::optional<GapRoute> gap;
+  for (size_t t = 0; t < n; ++t) {
+    if (trajectory.observed[t]) {
+      estimates.push_back(ObservedEstimate(network, trajectory, t));
+      continue;
+    }
+    const AnchorSpan span = FindAnchors(trajectory, t);
+    if (!gap.has_value() || gap->prev != span.prev || gap->next != span.next) {
+      gap = RouteGap(network, trajectory, span.prev, span.next);
+    }
+    estimates.push_back(GapEstimate(network, *gap, t));
+  }
+  return estimates;
+}
+
+// The neighbouring steps whose estimates give step t's travel heading.
+size_t HeadingFrom(const AnchorSpan& span, size_t t) {
+  return t > span.prev ? t - 1 : span.prev;
+}
+size_t HeadingTo(const AnchorSpan& span, size_t t) {
+  return t < span.next ? t + 1 : span.next;
+}
+
+int RouteSegment(const StepEstimate& e) {
+  return e.position.has_value() ? e.position->segment : -1;
+}
+
+double AnchorDistance(const StepEstimate& e) {
+  return geo::EquirectangularMeters(e.prev_point, e.next_point);
+}
+
+// Row t of the [T, kFeatureDim] input matrix (see EncodeInputs).
+void FillInputRow(const geo::GridSpec& grid,
+                  const IncompleteTrajectory& trajectory, size_t t,
+                  const StepEstimate& e, nn::Matrix* inputs) {
+  const size_t n = trajectory.size();
+  const auto cols = static_cast<double>(grid.cols());
+  const auto rows = static_cast<double>(grid.rows());
+  const bool observed = trajectory.observed[t];
+  const geo::GridCell cell = grid.CellOf(e.point);
+  const geo::GridCell prev_cell = grid.CellOf(e.prev_point);
+  const geo::GridCell next_cell = grid.CellOf(e.next_point);
+  nn::Matrix& m = *inputs;
+  m(t, 0) = observed ? 1.0 : 0.0;
+  m(t, 1) = (cell.x + 0.5) / cols;
+  m(t, 2) = (cell.y + 0.5) / rows;
+  m(t, 3) = observed ? trajectory.ground_truth.points[t].position.ratio : 0.0;
+  m(t, 4) = e.span.alpha;
+  m(t, 5) = static_cast<double>(e.span.next - e.span.prev) /
+            static_cast<double>(n);
+  m(t, 6) = static_cast<double>(t) / static_cast<double>(n);
+  m(t, 7) = (prev_cell.x + 0.5) / cols;
+  m(t, 8) = (prev_cell.y + 0.5) / rows;
+  m(t, 9) = (next_cell.x + 0.5) / cols;
+  m(t, 10) = (next_cell.y + 0.5) / rows;
 }
 
 }  // namespace
@@ -57,111 +250,21 @@ std::optional<roadnet::PointPosition>
 TrajectoryEncoder::RouteInterpolatedPosition(
     const IncompleteTrajectory& trajectory, size_t t) const {
   LIGHTTR_CHECK_LT(t, trajectory.size());
-  if (trajectory.observed[t]) {
-    return trajectory.ground_truth.points[t].position;
-  }
-  const AnchorSpan span = FindAnchors(trajectory, t);
-  const roadnet::PointPosition a =
-      trajectory.ground_truth.points[span.prev].position;
-  const roadnet::PointPosition b =
-      trajectory.ground_truth.points[span.next].position;
-
-  // Route pieces: (segment, from_ratio, to_ratio), in travel order.
-  struct Piece {
-    roadnet::SegmentId segment;
-    double from_ratio;
-    double to_ratio;
-  };
-  std::vector<Piece> pieces;
-  if (a.segment == b.segment && b.ratio >= a.ratio) {
-    pieces.push_back({a.segment, a.ratio, b.ratio});
-  } else {
-    const roadnet::Segment& sa = network_.segment(a.segment);
-    const roadnet::Segment& sb = network_.segment(b.segment);
-    auto route = roadnet::VertexRoute(network_, sa.to, sb.from);
-    if (!route.ok()) return std::nullopt;
-    pieces.push_back({a.segment, a.ratio, 1.0});
-    for (roadnet::SegmentId e : route.value()) pieces.push_back({e, 0.0, 1.0});
-    pieces.push_back({b.segment, 0.0, b.ratio});
-  }
-
-  double total = 0.0;
-  for (const Piece& piece : pieces) {
-    total += (piece.to_ratio - piece.from_ratio) *
-             network_.segment(piece.segment).length_m;
-  }
-  if (total <= 0.0) return a;
-
-  // Constant-speed position along the route at fraction alpha. A strict
-  // comparison maps piece boundaries to the *next* segment's start —
-  // matching the generator's representation of boundary points.
-  double remaining = span.alpha * total;
-  for (const Piece& piece : pieces) {
-    const double len = (piece.to_ratio - piece.from_ratio) *
-                       network_.segment(piece.segment).length_m;
-    if (remaining + 1e-6 < len || &piece == &pieces.back()) {
-      const double seg_len = network_.segment(piece.segment).length_m;
-      const double ratio =
-          piece.from_ratio + (seg_len > 0.0 ? remaining / seg_len : 0.0);
-      return roadnet::PointPosition{
-          piece.segment,
-          std::clamp(ratio, piece.from_ratio, piece.to_ratio)};
-    }
-    remaining -= len;
-  }
-  return b;  // unreachable, but keeps the compiler satisfied
+  return EstimateOf(network_, trajectory, t).position;
 }
 
 geo::GeoPoint TrajectoryEncoder::InterpolatedPoint(
     const IncompleteTrajectory& trajectory, size_t t) const {
   LIGHTTR_CHECK_LT(t, trajectory.size());
-  if (trajectory.observed[t]) {
-    return network_.PositionToPoint(trajectory.ground_truth.points[t].position);
-  }
-  if (auto position = RouteInterpolatedPosition(trajectory, t)) {
-    return network_.PositionToPoint(*position);
-  }
-  // Linear fallback when no directed route connects the anchors.
-  const AnchorSpan span = FindAnchors(trajectory, t);
-  const geo::GeoPoint a = network_.PositionToPoint(
-      trajectory.ground_truth.points[span.prev].position);
-  const geo::GeoPoint b = network_.PositionToPoint(
-      trajectory.ground_truth.points[span.next].position);
-  return geo::Lerp(a, b, span.alpha);
+  return EstimateOf(network_, trajectory, t).point;
 }
 
 nn::Matrix TrajectoryEncoder::EncodeInputs(
     const IncompleteTrajectory& trajectory) const {
-  const size_t n = trajectory.size();
-  LIGHTTR_CHECK_GE(n, 2u);
-  LIGHTTR_CHECK_EQ(trajectory.observed.size(), n);
-  nn::Matrix inputs(n, kFeatureDim);
-  const auto cols = static_cast<double>(grid_.cols());
-  const auto rows = static_cast<double>(grid_.rows());
-  for (size_t t = 0; t < n; ++t) {
-    const bool observed = trajectory.observed[t];
-    const geo::GeoPoint p = InterpolatedPoint(trajectory, t);
-    const geo::GridCell cell = grid_.CellOf(p);
-    const AnchorSpan span = FindAnchors(trajectory, t);
-    const geo::GridCell prev_cell =
-        grid_.CellOf(network_.PositionToPoint(
-            trajectory.ground_truth.points[span.prev].position));
-    const geo::GridCell next_cell =
-        grid_.CellOf(network_.PositionToPoint(
-            trajectory.ground_truth.points[span.next].position));
-    inputs(t, 0) = observed ? 1.0 : 0.0;
-    inputs(t, 1) = (cell.x + 0.5) / cols;
-    inputs(t, 2) = (cell.y + 0.5) / rows;
-    inputs(t, 3) =
-        observed ? trajectory.ground_truth.points[t].position.ratio : 0.0;
-    inputs(t, 4) = span.alpha;
-    inputs(t, 5) = static_cast<double>(span.next - span.prev) /
-                   static_cast<double>(n);
-    inputs(t, 6) = static_cast<double>(t) / static_cast<double>(n);
-    inputs(t, 7) = (prev_cell.x + 0.5) / cols;
-    inputs(t, 8) = (prev_cell.y + 0.5) / rows;
-    inputs(t, 9) = (next_cell.x + 0.5) / cols;
-    inputs(t, 10) = (next_cell.y + 0.5) / rows;
+  const std::vector<StepEstimate> estimates = EstimateAll(network_, trajectory);
+  nn::Matrix inputs(estimates.size(), kFeatureDim);
+  for (size_t t = 0; t < estimates.size(); ++t) {
+    FillInputRow(grid_, trajectory, t, estimates[t], &inputs);
   }
   return inputs;
 }
@@ -178,27 +281,48 @@ std::vector<StepTarget> TrajectoryEncoder::EncodeTargets(
   return targets;
 }
 
+EncodedTrajectory TrajectoryEncoder::Encode(
+    const IncompleteTrajectory& trajectory) const {
+  const std::vector<StepEstimate> estimates = EstimateAll(network_, trajectory);
+  const size_t n = estimates.size();
+  EncodedTrajectory out;
+  out.inputs = nn::Matrix(n, kFeatureDim);
+  out.targets = EncodeTargets(trajectory);
+  out.candidates.resize(n);
+  for (size_t t = 0; t < n; ++t) {
+    const StepEstimate& e = estimates[t];
+    FillInputRow(grid_, trajectory, t, e, &out.inputs);
+    if (trajectory.observed[t]) continue;
+    out.candidates[t] = CandidatesAround(
+        e.point, RouteSegment(e), AnchorDistance(e),
+        estimates[HeadingFrom(e.span, t)].point,
+        estimates[HeadingTo(e.span, t)].point,
+        trajectory.ground_truth.points[t].position.segment);
+  }
+  return out;
+}
+
 StepCandidates TrajectoryEncoder::CandidatesForStep(
     const IncompleteTrajectory& trajectory, size_t t) const {
-  const std::optional<roadnet::PointPosition> route_position =
-      RouteInterpolatedPosition(trajectory, t);
-  const geo::GeoPoint estimate =
-      route_position.has_value()
-          ? network_.PositionToPoint(*route_position)
-          : InterpolatedPoint(trajectory, t);
-  const int route_segment =
-      route_position.has_value() ? route_position->segment : -1;
+  LIGHTTR_CHECK_LT(t, trajectory.size());
+  const AnchorSpan span = FindAnchors(trajectory, t);
+  const GapRoute gap = RouteGap(network_, trajectory, span.prev, span.next);
+  const StepEstimate e = EstimateInGap(network_, trajectory, gap, t);
+  return CandidatesAround(
+      e.point, RouteSegment(e), AnchorDistance(e),
+      EstimateInGap(network_, trajectory, gap, HeadingFrom(span, t)).point,
+      EstimateInGap(network_, trajectory, gap, HeadingTo(span, t)).point,
+      trajectory.ground_truth.points[t].position.segment);
+}
 
+StepCandidates TrajectoryEncoder::CandidatesAround(
+    const geo::GeoPoint& estimate, int route_segment, double gap_m,
+    const geo::GeoPoint& heading_from, const geo::GeoPoint& heading_to,
+    int true_segment) const {
   // Scale the search radius and mask length with the distance between
   // the surrounding anchors: a mid-gap point can stray far from the
   // straight-line estimate (road detours), so a fixed radius would
   // exclude the truth and poison the CE loss with -inf-like masks.
-  const AnchorSpan span = FindAnchors(trajectory, t);
-  const double gap_m = geo::EquirectangularMeters(
-      network_.PositionToPoint(
-          trajectory.ground_truth.points[span.prev].position),
-      network_.PositionToPoint(
-          trajectory.ground_truth.points[span.next].position));
   const double radius =
       std::max(options_.candidate_radius_m, options_.radius_gap_factor * gap_m);
   const double sigma =
@@ -219,17 +343,14 @@ StepCandidates TrajectoryEncoder::CandidatesForStep(
   // Local travel heading, estimated from the interpolated positions of
   // the neighbouring steps. Breaks the tie between a street's two
   // directed twin segments.
-  const size_t before = t > span.prev ? t - 1 : span.prev;
-  const size_t after = t < span.next ? t + 1 : span.next;
   const geo::LocalProjection plane(estimate);
-  const auto h0 = plane.ToXy(InterpolatedPoint(trajectory, before));
-  const auto h1 = plane.ToXy(InterpolatedPoint(trajectory, after));
+  const auto h0 = plane.ToXy(heading_from);
+  const auto h1 = plane.ToXy(heading_to);
   const double hx = h1.x - h0.x;
   const double hy = h1.y - h0.y;
   const double heading_norm = std::sqrt(hx * hx + hy * hy);
 
   StepCandidates out;
-  const int true_segment = trajectory.ground_truth.points[t].position.segment;
   // Eq. 10: c_i = exp(-dist^2 / gamma); log c_i below. gamma is read as
   // a length scale (meters) that widens with the anchor gap; a direction
   // penalty disambiguates the two directed twins of a street.

@@ -36,6 +36,16 @@ struct StepCandidates {
   bool target_in_range = false;
 };
 
+/// One trajectory's complete encoding: what EncodeInputs, EncodeTargets
+/// and CandidatesForStep return, computed in one pass.
+struct EncodedTrajectory {
+  nn::Matrix inputs;                   // [T, kFeatureDim], as EncodeInputs
+  std::vector<StepTarget> targets;     // as EncodeTargets
+  /// Per step; as CandidatesForStep at missing steps, empty at observed
+  /// steps (no model decodes an observed step).
+  std::vector<StepCandidates> candidates;
+};
+
 /// Options for TrajectoryEncoder.
 struct EncoderOptions {
   double grid_cell_m = 200.0;       // Eq. 4 discretisation cell size
@@ -68,6 +78,12 @@ class TrajectoryEncoder {
 
   /// Number of features per step (fixed by the encoding).
   static constexpr size_t kFeatureDim = 11;
+
+  /// Encodes a whole trajectory in one pass, bitwise equal to the
+  /// per-step functions below: each anchor gap is routed once and every
+  /// missing step's estimate, heading and candidates come from that one
+  /// route. Models call this once per forward pass.
+  EncodedTrajectory Encode(const IncompleteTrajectory& trajectory) const;
 
   /// Encodes a [T, kFeatureDim] input matrix. Features per step:
   ///   0: observed flag
@@ -121,6 +137,16 @@ class TrajectoryEncoder {
   }
 
  private:
+  // Candidates + mask weights around `estimate`, the estimate of a step
+  // whose anchors lie `gap_m` apart; the route interpolation lands on
+  // `route_segment` (-1 when unrouted) and the travel heading runs from
+  // `heading_from` to `heading_to`.
+  StepCandidates CandidatesAround(const geo::GeoPoint& estimate,
+                                  int route_segment, double gap_m,
+                                  const geo::GeoPoint& heading_from,
+                                  const geo::GeoPoint& heading_to,
+                                  int true_segment) const;
+
   const roadnet::RoadNetwork& network_;
   const roadnet::SegmentIndex& index_;
   EncoderOptions options_;

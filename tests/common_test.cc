@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <vector>
 
 #include "common/backoff.h"
 #include "common/binary_io.h"
@@ -205,6 +206,49 @@ TEST(Crc32, MatchesKnownVectors) {
   EXPECT_EQ(Crc32(std::string("123456789")), 0xCBF43926u);
   EXPECT_EQ(Crc32(std::string()), 0u);
   EXPECT_EQ(Crc32(std::string("a")), 0xE8B7BE43u);
+  // Longer than one eight-byte slice, with a ragged tail.
+  EXPECT_EQ(Crc32(std::string("The quick brown fox jumps over the lazy dog")),
+            0x414FA339u);
+  EXPECT_EQ(Crc32(std::string(32, '\0')), 0x190A55ADu);
+  EXPECT_EQ(Crc32(std::string(32, '\xFF')), 0xFF6CAB0Bu);
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven Crc32Update must agree with.
+uint32_t BitwiseCrc32(uint32_t crc, const unsigned char* bytes, size_t n) {
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, AgreesWithBitwiseReferenceAtAnyLengthAndOffset) {
+  Rng rng(2024);
+  std::vector<unsigned char> data(4096);
+  for (unsigned char& b : data) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    // Unaligned starts and lengths around every slice boundary.
+    const auto offset = static_cast<size_t>(rng.UniformInt(0, 15));
+    const auto length = static_cast<size_t>(
+        trial < 40 ? trial : rng.UniformInt(0, 4096 - 16));
+    const auto seed = static_cast<uint32_t>(rng.UniformInt(0, 0xFFFFFFFF));
+    const unsigned char* start = data.data() + offset;
+    EXPECT_EQ(Crc32Update(seed, start, length),
+              BitwiseCrc32(seed, start, length))
+        << "offset " << offset << " length " << length;
+    // A split anywhere chains to the same value.
+    const auto split = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(length)));
+    EXPECT_EQ(Crc32Update(Crc32Update(0, start, split), start + split,
+                          length - split),
+              Crc32(start, length));
+  }
 }
 
 TEST(Crc32, IncrementalUpdateEqualsOneShot) {

@@ -1,9 +1,14 @@
 // Tests for the trajectory encoder: features, targets, candidates, the
-// constraint mask (Eq. 10/11), and route-based interpolation.
+// constraint mask (Eq. 10/11), route-based interpolation, and the
+// one-pass Encode against the per-step functions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "roadnet/generators.h"
 #include "roadnet/segment_index.h"
 #include "traj/downsample.h"
@@ -39,6 +44,51 @@ class EncodingTest : public ::testing::Test {
   std::unique_ptr<roadnet::SegmentIndex> index_;
   std::unique_ptr<TrajectoryEncoder> encoder_;
 };
+
+// Bitwise comparison of doubles (EXPECT_EQ would also accept -0 == 0).
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Encode(t) must equal the per-step functions: inputs, targets, and the
+// candidates of every missing step (observed steps carry none).
+void ExpectEncodeMatchesPerStep(const TrajectoryEncoder& encoder,
+                                const IncompleteTrajectory& icp) {
+  const EncodedTrajectory encoded = encoder.Encode(icp);
+  const nn::Matrix inputs = encoder.EncodeInputs(icp);
+  ASSERT_EQ(encoded.inputs.rows(), inputs.rows());
+  ASSERT_EQ(encoded.inputs.cols(), inputs.cols());
+  for (size_t r = 0; r < inputs.rows(); ++r) {
+    for (size_t c = 0; c < inputs.cols(); ++c) {
+      EXPECT_TRUE(SameBits(encoded.inputs(r, c), inputs(r, c)))
+          << r << "," << c;
+    }
+  }
+  const std::vector<StepTarget> targets = encoder.EncodeTargets(icp);
+  ASSERT_EQ(encoded.targets.size(), targets.size());
+  for (size_t t = 0; t < targets.size(); ++t) {
+    EXPECT_EQ(encoded.targets[t].segment, targets[t].segment);
+    EXPECT_TRUE(SameBits(encoded.targets[t].ratio, targets[t].ratio));
+    EXPECT_EQ(encoded.targets[t].missing, targets[t].missing);
+  }
+  ASSERT_EQ(encoded.candidates.size(), icp.size());
+  for (size_t t = 0; t < icp.size(); ++t) {
+    const StepCandidates& got = encoded.candidates[t];
+    if (icp.observed[t]) {
+      EXPECT_TRUE(got.segments.empty()) << t;
+      EXPECT_TRUE(got.log_mask.empty()) << t;
+      continue;
+    }
+    const StepCandidates want = encoder.CandidatesForStep(icp, t);
+    EXPECT_EQ(got.segments, want.segments) << t;
+    ASSERT_EQ(got.log_mask.size(), want.log_mask.size()) << t;
+    for (size_t k = 0; k < want.log_mask.size(); ++k) {
+      EXPECT_TRUE(SameBits(got.log_mask[k], want.log_mask[k])) << t << "," << k;
+    }
+    EXPECT_EQ(got.target_index, want.target_index) << t;
+    EXPECT_EQ(got.target_in_range, want.target_in_range) << t;
+  }
+}
 
 TEST_F(EncodingTest, InputShapeAndRanges) {
   const IncompleteTrajectory icp = MakeSample();
@@ -250,6 +300,8 @@ TEST(EncodingWidening, EmptySearchWidensToTheNearestRoads) {
   EXPECT_EQ(candidates.log_mask.size(), 2u);
   EXPECT_EQ(candidates.segments[candidates.target_index], east);
   EXPECT_TRUE(candidates.target_in_range);
+  // Encode takes the same linear fallback.
+  ExpectEncodeMatchesPerStep(encoder, icp);
 }
 
 TEST_F(EncodingTest, FullyObservedTrajectoryHasNoMissingTargets) {
@@ -257,6 +309,191 @@ TEST_F(EncodingTest, FullyObservedTrajectoryHasNoMissingTargets) {
   for (size_t i = 0; i < icp.size(); ++i) icp.observed[i] = true;
   const auto targets = encoder_->EncodeTargets(icp);
   for (const StepTarget& target : targets) EXPECT_FALSE(target.missing);
+  ExpectEncodeMatchesPerStep(*encoder_, icp);
+}
+
+// ---------------------------------------------------------------------
+// One-pass Encode.
+// ---------------------------------------------------------------------
+
+TEST_F(EncodingTest, EncodeMatchesPerStepOnSampledTrajectories) {
+  for (uint64_t seed = 40; seed < 46; ++seed) {
+    for (double keep : {0.0625, 0.125, 0.25}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " keep " << keep);
+      ExpectEncodeMatchesPerStep(*encoder_, MakeSample(keep, seed));
+    }
+  }
+}
+
+TEST_F(EncodingTest, EncodeMatchesPerStepWithUnobservedEnds) {
+  // The first and last steps missing: their gaps reach the trajectory
+  // ends and take an unobserved end as the anchor.
+  IncompleteTrajectory icp = MakeSample(0.25, 46);
+  icp.observed.front() = false;
+  icp.observed.back() = false;
+  ExpectEncodeMatchesPerStep(*encoder_, icp);
+  // Nothing observed at all: one gap spanning the whole trajectory.
+  icp.observed.assign(icp.size(), false);
+  ExpectEncodeMatchesPerStep(*encoder_, icp);
+}
+
+TEST(EncodeGaps, SameSegmentGapMatchesPerStep) {
+  // Both anchors on one segment, the later one further along: the route
+  // is that segment alone, no graph search.
+  const roadnet::RoadNetwork chain = roadnet::GenerateChain(6, 200.0);
+  const roadnet::SegmentIndex index(chain);
+  const TrajectoryEncoder encoder(chain, index);
+  const roadnet::SegmentId seg = chain.FindSegment(1, 2);
+  IncompleteTrajectory icp;
+  icp.ground_truth.epsilon_s = 10.0;
+  for (int i = 0; i < 6; ++i) {
+    icp.ground_truth.points.push_back(
+        MatchedPoint{{seg, 0.1 + 0.15 * i}, i * 10.0, i});
+  }
+  icp.observed = {true, false, false, false, false, true};
+  for (size_t t = 1; t < 5; ++t) {
+    const auto position = encoder.RouteInterpolatedPosition(icp, t);
+    ASSERT_TRUE(position.has_value());
+    EXPECT_EQ(position->segment, seg);
+  }
+  ExpectEncodeMatchesPerStep(encoder, icp);
+}
+
+// FNV-1a over the bytes of every field of the encodings of a workload.
+class EncodingDigest {
+ public:
+  template <typename T>
+  void Add(T value) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 1099511628211ull;
+    }
+  }
+
+  void Add(const EncodedTrajectory& encoded) {
+    for (size_t r = 0; r < encoded.inputs.rows(); ++r) {
+      for (size_t c = 0; c < encoded.inputs.cols(); ++c) {
+        Add(encoded.inputs(r, c));
+      }
+    }
+    for (const StepTarget& target : encoded.targets) {
+      Add(target.segment);
+      Add(target.ratio);
+      Add(target.missing);
+    }
+    for (const StepCandidates& candidates : encoded.candidates) {
+      Add(candidates.segments.size());
+      for (int segment : candidates.segments) Add(segment);
+      for (nn::Scalar mask : candidates.log_mask) Add(mask);
+      Add(candidates.target_index);
+      Add(candidates.target_in_range);
+    }
+  }
+
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 1469598103934665603ull;
+};
+
+uint64_t WorkloadDigest(const WorkloadProfile& base, double keep_ratio) {
+  Rng rng(71);
+  roadnet::CityGridOptions options;
+  options.rows = 9;
+  options.cols = 9;
+  const roadnet::RoadNetwork network = roadnet::GenerateCityGrid(options, &rng);
+  const roadnet::SegmentIndex index(network);
+  const TrajectoryEncoder encoder(network, index);
+  WorkloadProfile profile = base;
+  profile.trajectories_per_client = 12;
+  FederatedWorkloadOptions workload;
+  workload.num_clients = 4;
+  workload.keep_ratio = keep_ratio;
+  Rng data(72);
+  const std::vector<ClientDataset> clients =
+      GenerateFederatedWorkload(network, profile, workload, &data);
+  EncodingDigest digest;
+  for (const ClientDataset& client : clients) {
+    for (const auto* split : {&client.train, &client.valid, &client.test}) {
+      for (const IncompleteTrajectory& icp : *split) {
+        digest.Add(encoder.Encode(icp));
+      }
+    }
+  }
+  return digest.value();
+}
+
+TEST(EncodeGolden, DigestsMatchThePerStepEncoder) {
+  // Recorded from the per-step encoder (EncodeInputs, EncodeTargets and
+  // CandidatesForStep at every missing step) as it stood before the
+  // one-pass Encode existed: Encode must reproduce it bit for bit,
+  // including the order of tied directed-twin candidates.
+  EXPECT_EQ(WorkloadDigest(GeolifeLikeProfile(), 0.125),
+            0x6ab93ea05eacedd8ull);
+  EXPECT_EQ(WorkloadDigest(TdriveLikeProfile(), 0.0625),
+            0x0d69dd736d9db4b8ull);
+}
+
+TEST_F(EncodingTest, ConcurrentQueriesMatchSerialBitwise) {
+  // Nearby's de-duplication scratch is per thread: four threads querying
+  // one index (interleaved with a second index on the same threads)
+  // must see exactly the serial results.
+  const roadnet::RoadNetwork chain = roadnet::GenerateChain(30, 120.0);
+  const roadnet::SegmentIndex chain_index(chain);
+  std::vector<IncompleteTrajectory> samples;
+  struct Query {
+    geo::GeoPoint point;
+    double radius_m;
+  };
+  std::vector<Query> queries;
+  for (uint64_t seed = 50; seed < 58; ++seed) {
+    samples.push_back(MakeSample(0.125, seed));
+    const IncompleteTrajectory& icp = samples.back();
+    for (size_t t = 0; t < icp.size(); ++t) {
+      queries.push_back({encoder_->InterpolatedPoint(icp, t),
+                         150.0 + 50.0 * static_cast<double>(t % 8)});
+    }
+  }
+  const geo::GeoPoint chain_probe = chain.vertex(3).position;
+
+  using Result = std::vector<roadnet::SegmentIndex::Candidate>;
+  std::vector<Result> serial(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    serial[i] = index_->Nearby(queries[i].point, queries[i].radius_m);
+  }
+  std::vector<EncodedTrajectory> serial_encoded;
+  for (const IncompleteTrajectory& icp : samples) {
+    serial_encoded.push_back(encoder_->Encode(icp));
+  }
+
+  std::vector<Result> parallel(queries.size());
+  std::vector<EncodedTrajectory> parallel_encoded(samples.size());
+  ThreadPool pool(4);
+  pool.ParallelFor(queries.size(), [&](size_t i) {
+    EXPECT_FALSE(chain_index.Nearby(chain_probe, 200.0).empty());
+    parallel[i] = index_->Nearby(queries[i].point, queries[i].radius_m);
+  });
+  pool.ParallelFor(samples.size(), [&](size_t i) {
+    parallel_encoded[i] = encoder_->Encode(samples[i]);
+  });
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(parallel[i].size(), serial[i].size()) << i;
+    for (size_t k = 0; k < serial[i].size(); ++k) {
+      EXPECT_EQ(parallel[i][k].segment, serial[i][k].segment) << i;
+      EXPECT_TRUE(SameBits(parallel[i][k].projection.distance_m,
+                           serial[i][k].projection.distance_m))
+          << i;
+    }
+  }
+  for (size_t i = 0; i < samples.size(); ++i) {
+    EncodingDigest a;
+    EncodingDigest b;
+    a.Add(serial_encoded[i]);
+    b.Add(parallel_encoded[i]);
+    EXPECT_EQ(a.value(), b.value()) << "trajectory " << i;
+  }
 }
 
 }  // namespace

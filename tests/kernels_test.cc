@@ -1,13 +1,16 @@
 // Kernel-layer tests: mode resolution, scalar-vs-AVX2 numeric parity
 // (the scalar reference bounds the vector kernels' rounding drift), and
 // the tensor arena's alignment/reuse/bypass contracts.
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "nn/arena.h"
 #include "nn/kernels/kernels.h"
 #include "nn/matrix.h"
@@ -368,6 +371,43 @@ TEST(Arena, MatrixSteadyStateAllocatesNothing) {
   const ArenaStats after = ThreadArenaStats();
   EXPECT_EQ(after.heap_allocations, warm.heap_allocations);
   EXPECT_GT(after.pool_hits, warm.pool_hits);
+}
+
+TEST(Arena, CrossThreadReleasesStayBounded) {
+  // A coordinator that keeps retiring blocks its pool workers acquired
+  // (a trainer's replicas and optimizer states) must not park them all.
+  TrimThreadArena();
+  constexpr size_t kElements = size_t{1} << 17;  // 1 MiB blocks
+  constexpr size_t kBlocks = 16;
+  for (int round = 0; round < 6; ++round) {
+    std::vector<Scalar*> blocks(kBlocks + 1, nullptr);
+    std::atomic<size_t> acquired_on_workers{0};
+    {
+      ThreadPool pool(4);
+      pool.ParallelFor(kBlocks + 1, [&](size_t i) {
+        if (!ThreadPool::OnWorkerThread()) {
+          // The caller's share: hold it until the workers took the rest,
+          // so every block below comes from a worker's arena.
+          while (acquired_on_workers.load() < kBlocks) {
+            std::this_thread::yield();
+          }
+          return;
+        }
+        blocks[i] = AcquireArenaBlock(kElements);
+        blocks[i][0] = Scalar{1};
+        acquired_on_workers.fetch_add(1);
+      });
+    }
+    for (Scalar* block : blocks) {
+      if (block != nullptr) ReleaseArenaBlock(block, kElements);
+    }
+    EXPECT_LE(ThreadArenaStats().cached_bytes, kArenaMaxCachedBytes)
+        << "round " << round;
+  }
+  // 96+ MiB were released here: the cache filled to the cap, and the
+  // rest went back to the heap.
+  EXPECT_EQ(ThreadArenaStats().cached_bytes, kArenaMaxCachedBytes);
+  TrimThreadArena();
 }
 
 TEST(ArenaBuffer, ZeroFillsAndCopies) {

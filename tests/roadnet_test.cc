@@ -302,5 +302,35 @@ TEST_P(SegmentIndexProperty, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SegmentIndexProperty,
                          ::testing::Values(21, 22, 23, 24));
 
+// Nearby skips a segment by a bounding-box test before projecting; a
+// segment exactly at the radius (the projection's own distance) must
+// still be returned, so the bound never rejects what the exact
+// projection accepts.
+TEST(SegmentIndex, KeepsSegmentsExactlyAtTheRadius) {
+  Rng rng(25);
+  CityGridOptions options;
+  options.rows = 6;
+  options.cols = 6;
+  const RoadNetwork net = GenerateCityGrid(options, &rng);
+  const SegmentIndex index(net);
+  const geo::GeoPoint lo = net.min_corner();
+  const geo::GeoPoint hi = net.max_corner();
+  Rng pick(26);
+  int checked = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const geo::GeoPoint p{pick.Uniform(lo.lat, hi.lat),
+                          pick.Uniform(lo.lng, hi.lng)};
+    for (SegmentId e = 0; e < net.num_segments(); ++e) {
+      const double d = net.ProjectOntoSegment(e, p).distance_m;
+      if (d <= 0.0 || d > 600.0) continue;
+      bool found = false;
+      for (const auto& c : index.Nearby(p, d)) found |= c.segment == e;
+      EXPECT_TRUE(found) << "segment " << e << " at " << d << " m";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100);
+}
+
 }  // namespace
 }  // namespace lighttr::roadnet
